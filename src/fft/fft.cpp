@@ -1,5 +1,6 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/cpu.hpp"
@@ -38,6 +39,103 @@ void untangle_packed_rows(const cfloat* z, std::size_t n, cfloat* xs, cfloat* ys
   }
 }
 
+/// Index map of a full pass: transform i is row/column i.
+constexpr auto all_indices = [](std::size_t i) { return i; };
+
+/// Index map of a pruned pass over an ascending index list.
+auto listed(std::span<const std::size_t> list) {
+  return [list](std::size_t i) { return list[i]; };
+}
+
+/// Check that `list` is strictly ascending and inside [0, n).
+void check_index_list(std::span<const std::size_t> list, std::size_t n, const char* what) {
+  for (std::size_t i = 0; i < list.size(); ++i)
+    GANOPC_CHECK_MSG(list[i] < n && (i == 0 || list[i - 1] < list[i]),
+                     what << " must be strictly ascending and below " << n);
+}
+
+/// In-place 1-D transforms of rows index(0..count-1) of a row-major grid.
+template <typename Index>
+void row_pass(cfloat* data, std::size_t width, std::size_t count, Index index,
+              bool inverse) {
+  const FftPlan& plan = plan_for(width);
+  const FftInplaceFn kernel = active_fft();
+  parallel_for_chunks(0, count, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) kernel(data + index(i) * width, plan, inverse);
+  }, /*serial_threshold=*/8);
+}
+
+/// In-place 1-D transforms of columns index(0..count-1), each gathered into a
+/// contiguous buffer to keep memory access linear. With `live_rows`, only
+/// those rows are read: every other row enters the transform as an exact
+/// zero, whatever it holds. All rows of a transformed column are written.
+template <typename Index>
+void col_pass(cfloat* data, std::size_t height, std::size_t width, std::size_t count,
+              Index index, bool inverse,
+              const std::span<const std::size_t>* live_rows = nullptr) {
+  const FftPlan& plan = plan_for(height);
+  const FftInplaceFn kernel = active_fft();
+  parallel_for_chunks(0, count, [&](std::size_t i0, std::size_t i1) {
+    std::vector<cfloat> tmp(height);
+    for (std::size_t i = i0; i < i1; ++i) {
+      const std::size_t c = index(i);
+      if (live_rows != nullptr) {
+        std::fill(tmp.begin(), tmp.end(), cfloat{});
+        for (const std::size_t r : *live_rows) tmp[r] = data[r * width + c];
+      } else {
+        for (std::size_t r = 0; r < height; ++r) tmp[r] = data[r * width + c];
+      }
+      kernel(tmp.data(), plan, inverse);
+      for (std::size_t r = 0; r < height; ++r) data[r * width + c] = tmp[r];
+    }
+  }, /*serial_threshold=*/8);
+}
+
+/// irfft_2d whose column pass covers only columns [0, cols): the columns in
+/// [cols, W/2] must be zero, and are read by the row pass as they are.
+void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t width,
+                   std::size_t cols) {
+  GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
+  const FftInplaceFn kernel = active_fft();
+  const FftPlan& row_plan = plan_for(width);
+  if (height == 1) {
+    kernel(spec, row_plan, true);
+    for (std::size_t c = 0; c < width; ++c) out[c] = spec[c].real();
+    return;
+  }
+  // Inverse column pass over columns [0, W/2] only — for a Hermitian
+  // spectrum the upper columns carry no independent information and the row
+  // pass below never reads them.
+  const std::size_t half_w = width / 2;
+  col_pass(spec, height, width, std::min(cols, half_w + 1), all_indices, true);
+
+  // Row pass at half cost: each row spectrum is Hermitian (its signal is
+  // real), so two rows r, r+1 pack into one inverse transform whose real and
+  // imaginary parts are the two output rows. Upper-column bins are rebuilt
+  // from the mirror as they are consumed.
+  parallel_for_chunks(0, height / 2, [&](std::size_t p0, std::size_t p1) {
+    std::vector<cfloat> z(width);
+    for (std::size_t p = p0; p < p1; ++p) {
+      const cfloat* sr = spec + (2 * p) * width;
+      const cfloat* si = sr + width;
+      for (std::size_t c = 0; c <= half_w; ++c)
+        z[c] = sr[c] + cfloat(-si[c].imag(), si[c].real());  // sr + i*si
+      for (std::size_t c = half_w + 1; c < width; ++c) {
+        const cfloat a = std::conj(sr[width - c]);
+        const cfloat b = std::conj(si[width - c]);
+        z[c] = a + cfloat(-b.imag(), b.real());
+      }
+      kernel(z.data(), row_plan, true);
+      float* xr = out + (2 * p) * width;
+      float* yr = xr + width;
+      for (std::size_t c = 0; c < width; ++c) {
+        xr[c] = z[c].real();
+        yr[c] = z[c].imag();
+      }
+    }
+  }, /*serial_threshold=*/4);
+}
+
 }  // namespace
 
 void fft_1d(std::vector<cfloat>& data, bool inverse) {
@@ -61,25 +159,11 @@ void fft_1d_strided(cfloat* data, std::size_t n, std::size_t stride, bool invers
 
 void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
-  const FftPlan& row_plan = plan_for(width);
-  const FftPlan& col_plan = plan_for(height);
-  const FftInplaceFn kernel = active_fft();
   // Rows: note we do NOT apply 1/N scaling per axis separately; the butterfly
   // kernel scales by 1/len for inverse, so a row pass scales 1/W and a column
   // pass 1/H, composing to the desired 1/(W*H).
-  parallel_for_chunks(0, height, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r)
-      kernel(data + r * width, row_plan, inverse);
-  }, /*serial_threshold=*/8);
-  // Columns, with a per-column gather to keep memory access linear.
-  parallel_for_chunks(0, width, [&](std::size_t c0, std::size_t c1) {
-    std::vector<cfloat> tmp(height);
-    for (std::size_t c = c0; c < c1; ++c) {
-      for (std::size_t r = 0; r < height; ++r) tmp[r] = data[r * width + c];
-      kernel(tmp.data(), col_plan, inverse);
-      for (std::size_t r = 0; r < height; ++r) data[r * width + c] = tmp[r];
-    }
-  }, /*serial_threshold=*/8);
+  row_pass(data, width, height, all_indices, inverse);
+  col_pass(data, height, width, width, all_indices, inverse);
 }
 
 void fft_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width, bool inverse) {
@@ -112,16 +196,8 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
 
   // Column pass only up to the Nyquist column; the remaining columns follow
   // from F[r][c] = conj(F[(H-r)%H][(W-c)%W]) for real input.
-  const FftPlan& col_plan = plan_for(height);
   const std::size_t half_w = width / 2;
-  parallel_for_chunks(0, half_w + 1, [&](std::size_t c0, std::size_t c1) {
-    std::vector<cfloat> tmp(height);
-    for (std::size_t c = c0; c < c1; ++c) {
-      for (std::size_t r = 0; r < height; ++r) tmp[r] = out[r * width + c];
-      kernel(tmp.data(), col_plan, false);
-      for (std::size_t r = 0; r < height; ++r) out[r * width + c] = tmp[r];
-    }
-  }, /*serial_threshold=*/4);
+  col_pass(out, height, width, half_w + 1, all_indices, false);
   parallel_for_chunks(0, height, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const std::size_t rm = (height - r) & (height - 1);
@@ -132,53 +208,24 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
 }
 
 void irfft_2d(cfloat* spec, float* out, std::size_t height, std::size_t width) {
-  GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
-  const FftInplaceFn kernel = active_fft();
-  const FftPlan& row_plan = plan_for(width);
-  if (height == 1) {
-    kernel(spec, row_plan, true);
-    for (std::size_t c = 0; c < width; ++c) out[c] = spec[c].real();
-    return;
-  }
-  // Inverse column pass over columns [0, W/2] only — for a Hermitian
-  // spectrum the upper columns carry no independent information and the row
-  // pass below never reads them.
-  const FftPlan& col_plan = plan_for(height);
-  const std::size_t half_w = width / 2;
-  parallel_for_chunks(0, half_w + 1, [&](std::size_t c0, std::size_t c1) {
-    std::vector<cfloat> tmp(height);
-    for (std::size_t c = c0; c < c1; ++c) {
-      for (std::size_t r = 0; r < height; ++r) tmp[r] = spec[r * width + c];
-      kernel(tmp.data(), col_plan, true);
-      for (std::size_t r = 0; r < height; ++r) spec[r * width + c] = tmp[r];
-    }
-  }, /*serial_threshold=*/4);
+  irfft_2d_band(spec, out, height, width, width / 2 + 1);
+}
 
-  // Row pass at half cost: each row spectrum is Hermitian (its signal is
-  // real), so two rows r, r+1 pack into one inverse transform whose real and
-  // imaginary parts are the two output rows. Upper-column bins are rebuilt
-  // from the mirror as they are consumed.
-  parallel_for_chunks(0, height / 2, [&](std::size_t p0, std::size_t p1) {
-    std::vector<cfloat> z(width);
-    for (std::size_t p = p0; p < p1; ++p) {
-      const cfloat* sr = spec + (2 * p) * width;
-      const cfloat* si = sr + width;
-      for (std::size_t c = 0; c <= half_w; ++c)
-        z[c] = sr[c] + cfloat(-si[c].imag(), si[c].real());  // sr + i*si
-      for (std::size_t c = half_w + 1; c < width; ++c) {
-        const cfloat a = std::conj(sr[width - c]);
-        const cfloat b = std::conj(si[width - c]);
-        z[c] = a + cfloat(-b.imag(), b.real());
-      }
-      kernel(z.data(), row_plan, true);
-      float* xr = out + (2 * p) * width;
-      float* yr = xr + width;
-      for (std::size_t c = 0; c < width; ++c) {
-        xr[c] = z[c].real();
-        yr[c] = z[c].imag();
-      }
-    }
-  }, /*serial_threshold=*/4);
+void ifft_2d_rows(cfloat* data, std::size_t height, std::size_t width,
+                  std::span<const std::size_t> rows) {
+  GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
+  check_index_list(rows, height, "row list");
+  // A zero row transforms to zeros, so skipping it changes no nonzero value.
+  row_pass(data, width, rows.size(), listed(rows), true);
+  col_pass(data, height, width, width, all_indices, true, &rows);
+}
+
+void fft_2d_cols(cfloat* data, std::size_t height, std::size_t width,
+                 std::span<const std::size_t> cols) {
+  GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
+  check_index_list(cols, width, "column list");
+  row_pass(data, width, height, all_indices, false);
+  col_pass(data, height, width, cols.size(), listed(cols), false);
 }
 
 void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width) {
@@ -226,9 +273,10 @@ std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t
     }
   }
   // The padded spectrum is Hermitian by construction, so the inverse runs
-  // through the half-cost real-output path.
+  // through the half-cost real-output path. Its columns (hw, ow - hw) are
+  // zero, so the column pass stops after column hw.
   std::vector<float> out(oh * ow);
-  irfft_2d(big.data(), out.data(), oh, ow);
+  irfft_2d_band(big.data(), out.data(), oh, ow, hw + 1);
   const auto scale = static_cast<float>(factor) * factor;  // FFT normalization
   for (auto& v : out) v *= scale;
   return out;

@@ -9,6 +9,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace ganopc::fft {
@@ -33,6 +34,24 @@ void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse);
 
 /// Convenience overload for vectors (size must equal height*width).
 void fft_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width, bool inverse);
+
+// Band-limited siblings of fft_2d for spectra confined to a few rows and
+// columns (the SOCS kernels' pupil disks). Index lists must be strictly
+// ascending. Against fft_2d on the same zero-padded input, every value they
+// produce is bitwise equal except that an exact zero may differ in sign: a
+// skipped transform's input is exactly zero, so its output was exactly zero.
+
+/// Inverse 2-D FFT of a spectrum that is zero outside `rows`. Only the listed
+/// rows get the row pass; the column pass reads every other row as zero
+/// without looking at it. The whole grid is written.
+void ifft_2d_rows(cfloat* data, std::size_t height, std::size_t width,
+                  std::span<const std::size_t> rows);
+
+/// Forward 2-D FFT whose output is needed only in columns `cols`: the full row
+/// pass, then the column pass on the listed columns only. Other columns are
+/// left holding their row-pass values.
+void fft_2d_cols(cfloat* data, std::size_t height, std::size_t width,
+                 std::span<const std::size_t> cols);
 
 /// Forward 2-D FFT of a real height x width grid into its full complex
 /// spectrum (same layout as fft_2d on a zero-imaginary input, up to

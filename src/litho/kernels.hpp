@@ -6,7 +6,8 @@
 //   A_k = IFFT( H_k_hat .* FFT(M) ),   I = sum_k w_k |A_k|^2.
 // Each H_k_hat is a pupil disk shifted by its Abbe source point, with an
 // optional paraxial defocus phase. Flipped kernels H_k_hat(-f) are
-// precomputed for the ILT gradient (Eq. 14).
+// precomputed for the ILT gradient (Eq. 14), and each kernel records the
+// rows and columns its disk touches.
 #pragma once
 
 #include <complex>
@@ -52,6 +53,22 @@ class SocsKernels {
 
   float weight(int k) const { return weights_.at(static_cast<std::size_t>(k)); }
 
+  /// The rows and columns of a kernel spectrum that hold a nonzero bin, each
+  /// ascending. A pupil disk covers ~30 of 256 rows and columns, so the SOCS
+  /// passes transform only these (DESIGN.md §7).
+  struct Support {
+    std::vector<std::size_t> rows;
+    std::vector<std::size_t> cols;
+  };
+
+  /// Support of freq_kernel(k), read from its data.
+  const Support& support(int k) const { return supports_.at(static_cast<std::size_t>(k)); }
+
+  /// Support of freq_kernel_flipped(k): the mirror (N - i) mod N of support(k).
+  const Support& support_flipped(int k) const {
+    return supports_flipped_.at(static_cast<std::size_t>(k));
+  }
+
   /// Spatial-domain kernel (centered via fftshift) — used by tests and for
   /// kernel visualization; the hot paths never leave the frequency domain.
   std::vector<std::complex<float>> spatial_kernel(int k) const;
@@ -59,6 +76,8 @@ class SocsKernels {
  private:
   void validate_geometry() const;
   void adopt(TccKernelSet set);
+  void push_kernel(std::vector<std::complex<float>> hat,
+                   std::vector<std::complex<float>> flipped, Support support, float weight);
 
   OpticsConfig config_;
   std::int32_t grid_;
@@ -67,6 +86,8 @@ class SocsKernels {
   std::vector<float> weights_;
   std::vector<std::vector<std::complex<float>>> freq_kernels_;
   std::vector<std::vector<std::complex<float>>> freq_kernels_flipped_;
+  std::vector<Support> supports_;
+  std::vector<Support> supports_flipped_;
 };
 
 }  // namespace ganopc::litho

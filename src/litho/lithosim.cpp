@@ -41,8 +41,9 @@ void reshape_like(geom::Grid& g, std::int32_t n, std::int32_t pixel_nm,
 // The one SOCS forward implementation (Eq. 2): mask FFT, per-kernel coherent
 // fields A_k = IFFT(H_k_hat .* mask_hat) parallelized over kernels, then the
 // intensity I = sum_k w_k |A_k|^2 reduced per pixel in ascending-k order.
-// Blocks only partition pixels/kernels — every thread count produces
-// bit-identical output. Shared by LithoSim::aerial_into, the gradient's
+// H_k_hat is zero outside its support rows, so only those rows are multiplied
+// and inverse-transformed (DESIGN.md §7). Blocks only partition
+// pixels/kernels — every thread count produces bit-identical output. Shared by LithoSim::aerial_into, the gradient's
 // forward pass and threshold calibration, so tests cover one implementation.
 void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
                   geom::Grid& aerial_image, LithoWorkspace& ws) {
@@ -66,10 +67,12 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
       static_cast<std::size_t>(num_k),
       [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
         for (std::size_t k = kb; k < ke; ++k) {
-          auto& field = ws.fields[k];
-          const auto& hat = kernels.freq_kernel(static_cast<int>(k));
-          ops.cmul(ws.mask_hat.data(), hat.data(), field.data(), npx);
-          fft::fft_2d(field.data(), un, un, true);
+          cfloat* field = ws.fields[k].data();
+          const cfloat* hat = kernels.freq_kernel(static_cast<int>(k)).data();
+          const auto& rows = kernels.support(static_cast<int>(k)).rows;
+          for (const std::size_t r : rows)
+            ops.cmul(ws.mask_hat.data() + r * un, hat + r * un, field + r * un, un);
+          fft::ifft_2d_rows(field, un, un, rows);
         }
       });
 
@@ -252,13 +255,17 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
         static_cast<std::size_t>(num_k),
         [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
           for (std::size_t k = kb; k < ke; ++k) {
-            auto& buf = ws.adjoint[k];
-            const auto& field = ws.fields[k];
-            ops.cmul_conj_real(ws.x.data(), field.data(), buf.data(), npx);
-            fft::fft_2d(buf.data(), un, un, false);
-            const auto& hat_flipped = kernels_.freq_kernel_flipped(static_cast<int>(k));
-            ops.cmul(buf.data(), hat_flipped.data(), buf.data(), npx);
-            fft::fft_2d(buf.data(), un, un, true);
+            cfloat* buf = ws.adjoint[k].data();
+            ops.cmul_conj_real(ws.x.data(), ws.fields[k].data(), buf, npx);
+            // Only the flipped kernel's support survives the product, so the
+            // forward transform needs just its columns, and the inverse just
+            // its rows.
+            const auto& support = kernels_.support_flipped(static_cast<int>(k));
+            fft::fft_2d_cols(buf, un, un, support.cols);
+            const cfloat* hat_flipped = kernels_.freq_kernel_flipped(static_cast<int>(k)).data();
+            for (const std::size_t r : support.rows)
+              ops.cmul(buf + r * un, hat_flipped + r * un, buf + r * un, un);
+            fft::ifft_2d_rows(buf, un, un, support.rows);
           }
         });
 

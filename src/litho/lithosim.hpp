@@ -99,9 +99,11 @@ class LithoSim {
   /// Eq. (14) gradient averaged over `doses` (the PV-aware dose-corner
   /// objective; a single dose reproduces `gradient`). The coherent fields A_k
   /// are computed once and shared by every dose corner, so D corners cost
-  /// 1 + N_h + 2*D*N_h transforms instead of D * (1 + 3*N_h). Per-kernel
-  /// loops run on the thread pool; reductions are fixed-order (deterministic
-  /// at any thread count). `grad_out` is resized to the mask geometry.
+  /// one mask FFT, N_h field transforms and 2*D*N_h adjoint transforms, all
+  /// but the first band-limited to a kernel's support (DESIGN.md §7).
+  /// Per-kernel loops run on the thread pool; reductions are fixed-order
+  /// (deterministic at any thread count). `grad_out` is resized to the mask
+  /// geometry.
   void gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
                      std::span<const float> doses, geom::Grid& grad_out,
                      LithoWorkspace& ws) const;

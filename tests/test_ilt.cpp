@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -346,6 +347,34 @@ TEST_F(IltWatchdog, LateGradientNaNKeepsBestCheckpoint) {
   EXPECT_TRUE(std::isfinite(r.l2_px));
   // Progress from the 12 clean iterations is retained, not discarded.
   EXPECT_LE(r.l2_px, sim.l2_error(target, target));
+}
+
+TEST_F(IltWatchdog, NaNInputPoisonsEveryPixelAndDiverges) {
+  // The SOCS passes transform only the rows and columns a kernel's pupil
+  // touches. A NaN must still reach every pixel, as it does through dense
+  // transforms, so the watchdog sees it wherever it started.
+  const auto sim = make_sim();
+  const geom::Grid target = wire_target(64, 32);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto all_nonfinite = [](const geom::Grid& g) {
+    for (const float v : g.data)
+      if (std::isfinite(v)) return false;
+    return true;
+  };
+
+  geom::Grid mask = target;
+  mask.at(17, 41) = nan;
+  EXPECT_TRUE(all_nonfinite(sim.aerial(mask)));
+  EXPECT_TRUE(all_nonfinite(sim.gradient(mask, target)));
+
+  geom::Grid bad_target = target;
+  bad_target.at(50, 3) = nan;
+  EXPECT_TRUE(all_nonfinite(sim.gradient(target, bad_target)));
+
+  IltConfig cfg;
+  cfg.max_iterations = 20;
+  const IltResult r = IltEngine(sim, cfg).optimize(target, mask);
+  EXPECT_EQ(r.termination, TerminationReason::kDiverged);
 }
 
 TEST_F(IltWatchdog, DivergenceFactorTripsOnExplodingL2) {

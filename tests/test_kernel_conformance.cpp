@@ -15,9 +15,11 @@
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/cpu.hpp"
+#include "common/parallel.hpp"
 #include "common/prng.hpp"
 #include "fft/fft.hpp"
 #include "fft/fft_kernels.hpp"
@@ -25,6 +27,7 @@
 #include "geometry/grid.hpp"
 #include "gradcheck.hpp"
 #include "ilt/ilt_kernels.hpp"
+#include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
 #include "nn/gemm.hpp"
 
@@ -322,6 +325,148 @@ TEST(FftKernelConformance, ArmsAreRunToRunDeterministic) {
     fn(a1.data(), plan, false);
     fn(a2.data(), plan, false);
     EXPECT_EQ(0, std::memcmp(a1.data(), a2.data(), n * sizeof(cfloat)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Band-limited transforms: ifft_2d_rows / fft_2d_cols against fft_2d
+// ---------------------------------------------------------------------------
+
+/// Every index list shape the SOCS passes can hand over for an n-point axis:
+/// random, wrapped around index 0 (a pupil disk at DC), single, empty, full.
+std::vector<std::vector<std::size_t>> index_lists(Prng& rng, std::size_t n) {
+  std::vector<std::vector<std::size_t>> lists(5);
+  for (std::size_t i = 0; i < n; ++i)
+    if (rng.uniform(0.0, 1.0) < 0.3) lists[0].push_back(i);
+  const std::size_t k = n / 8;
+  for (std::size_t i = 0; i <= k; ++i) lists[1].push_back(i);
+  for (std::size_t i = n - k; i < n; ++i)
+    if (i > k) lists[1].push_back(i);
+  lists[2].push_back(static_cast<std::size_t>(rng.randint(0, static_cast<std::int64_t>(n) - 1)));
+  lists[4].resize(n);
+  std::iota(lists[4].begin(), lists[4].end(), std::size_t{0});
+  return lists;
+}
+
+/// Bins where `got` differs from `ref`. `==` treats -0 and +0 as equal, the
+/// one difference the band-limited transforms are allowed.
+std::size_t count_mismatches(const std::vector<cfloat>& got, const std::vector<cfloat>& ref) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) bad += !(got[i] == ref[i]);
+  return bad;
+}
+
+TEST(BandLimitedFft, EqualsDenseTransformOnEveryArmAndThreadCount) {
+  std::vector<SimdLevel> arms = {SimdLevel::kScalar};
+  if (have_avx2()) arms.push_back(SimdLevel::kAvx2);
+  const std::size_t dims[][2] = {{1, 8}, {4, 16}, {16, 16}, {32, 8}, {64, 64}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const SimdLevel lvl : arms) {
+    LevelGuard guard;
+    set_simd_level(lvl);
+    for (const std::size_t threads : {1u, 3u, 4u}) {
+      ThreadPool::reset(threads);
+      Prng rng(206);
+      for (const auto& hw : dims) {
+        const std::size_t h = hw[0], w = hw[1], npx = h * w;
+        SCOPED_TRACE(::testing::Message() << simd_level_name(lvl) << " threads=" << threads
+                                          << " " << h << "x" << w);
+        for (const auto& rows : index_lists(rng, h)) {
+          // Inverse: the reference zero-pads the unlisted rows; the pruned
+          // transform gets NaN there, which it must never read.
+          const std::vector<cfloat> x = random_complex(rng, npx);
+          std::vector<cfloat> ref(npx, cfloat{}), got(npx, cfloat{nan, nan});
+          for (const std::size_t r : rows)
+            for (std::size_t c = 0; c < w; ++c) ref[r * w + c] = got[r * w + c] = x[r * w + c];
+          fft::fft_2d(ref.data(), h, w, /*inverse=*/true);
+          fft::ifft_2d_rows(got.data(), h, w, rows);
+          EXPECT_EQ(count_mismatches(got, ref), 0u) << "ifft_2d_rows, " << rows.size()
+                                                    << " rows";
+        }
+        for (const auto& cols : index_lists(rng, w)) {
+          // Forward: only the listed columns are defined.
+          const std::vector<cfloat> x = random_complex(rng, npx);
+          std::vector<cfloat> ref = x, got = x;
+          fft::fft_2d(ref.data(), h, w, /*inverse=*/false);
+          fft::fft_2d_cols(got.data(), h, w, cols);
+          std::size_t bad = 0;
+          for (std::size_t r = 0; r < h; ++r)
+            for (const std::size_t c : cols) bad += !(got[r * w + c] == ref[r * w + c]);
+          EXPECT_EQ(bad, 0u) << "fft_2d_cols, " << cols.size() << " columns";
+        }
+      }
+    }
+  }
+  ThreadPool::reset(ThreadPool::default_thread_count());
+}
+
+TEST(BandLimitedFft, RejectsUnsortedOrOutOfRangeLists) {
+  std::vector<cfloat> data(8 * 8);
+  const std::vector<std::size_t> unsorted = {3, 1}, repeated = {2, 2}, outside = {8};
+  for (const auto* list : {&unsorted, &repeated, &outside}) {
+    EXPECT_THROW(fft::ifft_2d_rows(data.data(), 8, 8, *list), std::exception);
+    EXPECT_THROW(fft::fft_2d_cols(data.data(), 8, 8, *list), std::exception);
+  }
+}
+
+/// Rows and columns of an n x n spectrum holding a nonzero bin, by brute force.
+litho::SocsKernels::Support scan_support(const std::vector<cfloat>& hat, std::size_t n) {
+  litho::SocsKernels::Support s;
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      if (hat[r * n + c] != cfloat{}) {
+        s.rows.push_back(r);
+        break;
+      }
+  for (std::size_t c = 0; c < n; ++c)
+    for (std::size_t r = 0; r < n; ++r)
+      if (hat[r * n + c] != cfloat{}) {
+        s.cols.push_back(c);
+        break;
+      }
+  return s;
+}
+
+TEST(BandLimitedFft, KernelSupportMatchesBruteForceScan) {
+  litho::OpticsConfig focused;
+  focused.num_kernels = 12;
+  litho::OpticsConfig defocused = focused;
+  defocused.defocus_nm = 60.0;
+  const std::int32_t grid = 64, pixel = 16;
+  const litho::SocsKernels sets[] = {
+      litho::SocsKernels(focused, grid, pixel),
+      litho::SocsKernels(defocused, grid, pixel),
+      litho::TccBackend(8, /*min_captured_energy=*/0.0).build(focused, grid, pixel),
+  };
+  const auto n = static_cast<std::size_t>(grid);
+  for (std::size_t s = 0; s < std::size(sets); ++s) {
+    const litho::SocsKernels& kernels = sets[s];
+    for (int k = 0; k < kernels.count(); ++k) {
+      SCOPED_TRACE(::testing::Message() << "set " << s << " kernel " << k);
+      const auto& hat = kernels.freq_kernel(k);
+      const auto& flipped = kernels.freq_kernel_flipped(k);
+      const auto& sup = kernels.support(k);
+      const auto& sup_f = kernels.support_flipped(k);
+      const auto scanned = scan_support(hat, n);
+      EXPECT_EQ(sup.rows, scanned.rows);
+      EXPECT_EQ(sup.cols, scanned.cols);
+      EXPECT_FALSE(sup.rows.empty());
+      EXPECT_LT(sup.rows.size(), n) << "a pupil disk never fills the grid";
+      // The flipped kernel is the full mirror H(-f), and its lists are the
+      // mirrors of the kernel's.
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c)
+          ASSERT_EQ(flipped[r * n + c], hat[((n - r) % n) * n + (n - c) % n]);
+      const auto scanned_f = scan_support(flipped, n);
+      EXPECT_EQ(sup_f.rows, scanned_f.rows);
+      EXPECT_EQ(sup_f.cols, scanned_f.cols);
+      for (const std::size_t r : sup.rows)
+        EXPECT_TRUE(std::binary_search(sup_f.rows.begin(), sup_f.rows.end(), (n - r) % n));
+      for (const std::size_t c : sup.cols)
+        EXPECT_TRUE(std::binary_search(sup_f.cols.begin(), sup_f.cols.end(), (n - c) % n));
+      EXPECT_EQ(sup_f.rows.size(), sup.rows.size());
+      EXPECT_EQ(sup_f.cols.size(), sup.cols.size());
+    }
   }
 }
 
