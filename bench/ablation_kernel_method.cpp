@@ -13,6 +13,7 @@
 #include "common/timer.hpp"
 #include "geometry/raster.hpp"
 #include "litho/lithosim.hpp"
+#include "litho/tcc.hpp"
 
 int main() {
   using namespace ganopc;
@@ -24,19 +25,23 @@ int main() {
   clip.add({1240, 700, 1320, 1600});
   const geom::Grid mask = geom::rasterize(clip, 16, /*threshold=*/true);
 
-  auto make_sim = [&](int kernels, litho::KernelMethod method, double& build_s) {
+  // `tcc` adopts the top-k TCC eigen-kernels; otherwise one Abbe kernel per
+  // sampled source point.
+  auto make_sim = [&](int kernels, bool tcc, double& build_s) {
     litho::OpticsConfig optics;
     optics.num_kernels = kernels;
-    optics.kernel_method = method;
     WallTimer t;
-    litho::LithoSim sim(optics, litho::ResistConfig{}, 128, 16);
+    litho::LithoSim sim(
+        tcc ? litho::SocsKernels(optics, 128, 16,
+                                 litho::compute_tcc_kernels(optics, 128, 16, kernels))
+            : litho::SocsKernels(optics, 128, 16),
+        litho::ResistConfig{});
     build_s = t.seconds();
     return sim;
   };
 
   double ref_build = 0.0;
-  const litho::LithoSim reference =
-      make_sim(32, litho::KernelMethod::TccSvd, ref_build);
+  const litho::LithoSim reference = make_sim(32, /*tcc=*/true, ref_build);
   const geom::Grid ref_aerial = reference.aerial(mask);
   auto rms_vs_ref = [&](const litho::LithoSim& sim) {
     const geom::Grid aerial = sim.aerial(mask);
@@ -52,8 +57,8 @@ int main() {
               "TCC RMS", "build(s)");
   for (const int k : {4, 8, 12, 16, 24}) {
     double abbe_build = 0.0, tcc_build = 0.0;
-    const litho::LithoSim abbe = make_sim(k, litho::KernelMethod::AbbeSource, abbe_build);
-    const litho::LithoSim tcc = make_sim(k, litho::KernelMethod::TccSvd, tcc_build);
+    const litho::LithoSim abbe = make_sim(k, /*tcc=*/false, abbe_build);
+    const litho::LithoSim tcc = make_sim(k, /*tcc=*/true, tcc_build);
     const double abbe_rms = rms_vs_ref(abbe);
     const double tcc_rms = rms_vs_ref(tcc);
     std::printf("%-8d | %12.6f %10.2f | %12.6f %10.2f\n", k, abbe_rms, abbe_build,

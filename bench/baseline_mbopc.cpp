@@ -8,7 +8,6 @@
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
-#include "core/flow.hpp"
 #include "geometry/raster.hpp"
 #include "layout/benchmark_suite.hpp"
 #include "mbopc/mbopc.hpp"
@@ -18,9 +17,8 @@ int main() {
   const core::GanOpcConfig cfg = bench::bench_config();
   std::printf("== Baseline: model-based OPC vs ILT ==\n\n");
 
-  const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
-                            cfg.litho_pixel_nm());
-  const core::GanOpcFlow ilt_flow(cfg, nullptr, sim);
+  const engine::Engine ilt_flow(bench::flow_options(cfg, nullptr));
+  const litho::LithoSim& sim = ilt_flow.sim();
   mbopc::MbOpcConfig mb_cfg;
   const mbopc::MbOpcEngine mb_engine(sim, mb_cfg);
 
@@ -37,12 +35,12 @@ int main() {
         geom::rasterize(bc.layout, cfg.litho_pixel_nm(), /*threshold=*/true);
     const double uncorrected = sim.l2_error(target, target) * px_area;
     const mbopc::MbOpcResult mb = mb_engine.optimize(bc.layout);
-    const core::FlowResult ilt = ilt_flow.run_ilt_only(bc.layout);
+    const engine::BatchClipResult ilt = bench::run_flow(ilt_flow, bc.layout).row;
     const double mb_l2 = mb.l2_px * px_area;
     std::printf("%-4d | %12.0f | %10.0f %8.2f | %10.0f %8.2f\n", bc.id, uncorrected,
-                mb_l2, mb.runtime_s, ilt.l2_nm2, ilt.total_seconds());
+                mb_l2, mb.runtime_s, ilt.l2_nm2, ilt.runtime_s);
     csv.row_numeric({static_cast<double>(bc.id), uncorrected, mb_l2, mb.runtime_s,
-                     ilt.l2_nm2, ilt.total_seconds()});
+                     ilt.l2_nm2, ilt.runtime_s});
     sum_unc += uncorrected;
     sum_mb += mb_l2;
     sum_ilt += ilt.l2_nm2;

@@ -7,6 +7,7 @@
 // directory reuses work:
 //   figure7_training_curves  trains GAN-OPC + PGAN-OPC and saves both
 //   figure8_visuals/table2   load the saved generators when present
+// The Table 2 flows themselves run as engine::Engine sessions (flow_options).
 #pragma once
 
 #include <cstdio>
@@ -14,12 +15,14 @@
 #include <filesystem>
 #include <string>
 
+#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "core/config.hpp"
 #include "core/dataset.hpp"
 #include "core/discriminator.hpp"
 #include "core/generator.hpp"
 #include "core/trainer.hpp"
+#include "engine/engine.hpp"
 #include "litho/lithosim.hpp"
 #include "nn/serialize.hpp"
 
@@ -107,6 +110,36 @@ inline core::Generator get_generator(const core::GanOpcConfig& cfg,
   if (stats_out != nullptr) *stats_out = stats;
   nn::save_parameters(generator.net(), path);
   return generator;
+}
+
+/// The Table 2 flows as Engine sessions: with a generator the session runs
+/// the Figure 6 flow (inference, then ILT from that mask); without one it
+/// runs ILT from the target (the [7] baseline). One attempt, no fallback
+/// rung, and any finite L2 is accepted, so a row reports exactly what the
+/// flow produced.
+inline engine::EngineOptions flow_options(const core::GanOpcConfig& cfg,
+                                          core::Generator* generator) {
+  engine::EngineOptions opts;
+  opts.config = cfg;
+  opts.generator = generator;
+  opts.policy.allow_fallback = false;
+  opts.policy.max_retries = 0;
+  opts.policy.l2_accept_factor = 0.0f;
+  return opts;
+}
+
+/// Run one benchmark clip through a flow session; a failed row aborts the
+/// bench. The row's runtime_s is the submit wall time (Table 2's RT).
+inline engine::MaskResult run_flow(const engine::Engine& eng, const geom::Layout& clip,
+                                   bool want_mask = false) {
+  engine::BatchClip item;
+  item.id = "clip";
+  item.layout = clip;
+  engine::SubmitOptions opts;
+  opts.want_mask = want_mask;
+  engine::MaskResult result = eng.submit(item, opts);
+  GANOPC_CHECK_MSG(result.row.ok(), "flow failed: " << result.row.error);
+  return result;
 }
 
 }  // namespace ganopc::bench

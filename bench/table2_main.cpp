@@ -8,13 +8,15 @@
 // edging out GAN — is the reproduction target. Paper ratios are printed
 // alongside for comparison.
 //
+// Each flow is an engine::Engine session (bench::flow_options); RT is the
+// Engine::submit wall time, the same figure optimize/batch/serve report.
+//
 // Scale via GANOPC_SCALE=quick|default|paper (default: bench scale).
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
-#include "core/flow.hpp"
 #include "layout/benchmark_suite.hpp"
 
 namespace {
@@ -33,16 +35,16 @@ int main() {
               cfg.litho_grid, cfg.litho_pixel_nm(), cfg.gan_grid,
               cfg.ilt.max_iterations);
 
-  const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
-                            cfg.litho_pixel_nm());
-  const core::Dataset dataset = bench::get_dataset(cfg, sim);
-  core::Generator gan = bench::get_generator(cfg, sim, dataset, /*pretrained=*/false);
-  core::Generator pgan = bench::get_generator(cfg, sim, dataset, /*pretrained=*/true);
+  const engine::Engine ilt_flow(bench::flow_options(cfg, nullptr));
+  const core::Dataset dataset = bench::get_dataset(cfg, ilt_flow.sim());
+  core::Generator gan =
+      bench::get_generator(cfg, ilt_flow.sim(), dataset, /*pretrained=*/false);
+  core::Generator pgan =
+      bench::get_generator(cfg, ilt_flow.sim(), dataset, /*pretrained=*/true);
+  const engine::Engine gan_flow(bench::flow_options(cfg, &gan));
+  const engine::Engine pgan_flow(bench::flow_options(cfg, &pgan));
 
   const auto suite = layout::make_benchmark_suite(cfg.clip_nm);
-  const core::GanOpcFlow ilt_flow(cfg, nullptr, sim);
-  const core::GanOpcFlow gan_flow(cfg, &gan, sim);
-  const core::GanOpcFlow pgan_flow(cfg, &pgan, sim);
 
   CsvWriter csv("table2_results.csv",
                 {"case", "area_nm2", "ilt_l2", "ilt_pvb", "ilt_rt", "gan_l2", "gan_pvb",
@@ -53,29 +55,29 @@ int main() {
               "PVB", "RT(s)");
   Row ilt_sum, gan_sum, pgan_sum;
   for (const auto& bc : suite) {
-    const core::FlowResult r_ilt = ilt_flow.run_ilt_only(bc.layout);
-    const core::FlowResult r_gan = gan_flow.run(bc.layout);
-    const core::FlowResult r_pgan = pgan_flow.run(bc.layout);
+    const engine::BatchClipResult r_ilt = bench::run_flow(ilt_flow, bc.layout).row;
+    const engine::BatchClipResult r_gan = bench::run_flow(gan_flow, bc.layout).row;
+    const engine::BatchClipResult r_pgan = bench::run_flow(pgan_flow, bc.layout).row;
     std::printf("%-4d %-9ld | %9.0f %9ld %7.2f | %9.0f %9ld %7.2f | %9.0f %9ld %7.2f\n",
                 bc.id, static_cast<long>(bc.layout.union_area()), r_ilt.l2_nm2,
-                static_cast<long>(r_ilt.pvb_nm2), r_ilt.total_seconds(), r_gan.l2_nm2,
-                static_cast<long>(r_gan.pvb_nm2), r_gan.total_seconds(), r_pgan.l2_nm2,
-                static_cast<long>(r_pgan.pvb_nm2), r_pgan.total_seconds());
+                static_cast<long>(r_ilt.pvb_nm2), r_ilt.runtime_s, r_gan.l2_nm2,
+                static_cast<long>(r_gan.pvb_nm2), r_gan.runtime_s, r_pgan.l2_nm2,
+                static_cast<long>(r_pgan.pvb_nm2), r_pgan.runtime_s);
     csv.row_numeric({static_cast<double>(bc.id),
                      static_cast<double>(bc.layout.union_area()), r_ilt.l2_nm2,
-                     static_cast<double>(r_ilt.pvb_nm2), r_ilt.total_seconds(),
+                     static_cast<double>(r_ilt.pvb_nm2), r_ilt.runtime_s,
                      r_gan.l2_nm2, static_cast<double>(r_gan.pvb_nm2),
-                     r_gan.total_seconds(), r_pgan.l2_nm2,
-                     static_cast<double>(r_pgan.pvb_nm2), r_pgan.total_seconds()});
+                     r_gan.runtime_s, r_pgan.l2_nm2,
+                     static_cast<double>(r_pgan.pvb_nm2), r_pgan.runtime_s});
     ilt_sum.l2 += r_ilt.l2_nm2;
     ilt_sum.pvb += static_cast<double>(r_ilt.pvb_nm2);
-    ilt_sum.rt += r_ilt.total_seconds();
+    ilt_sum.rt += r_ilt.runtime_s;
     gan_sum.l2 += r_gan.l2_nm2;
     gan_sum.pvb += static_cast<double>(r_gan.pvb_nm2);
-    gan_sum.rt += r_gan.total_seconds();
+    gan_sum.rt += r_gan.runtime_s;
     pgan_sum.l2 += r_pgan.l2_nm2;
     pgan_sum.pvb += static_cast<double>(r_pgan.pvb_nm2);
-    pgan_sum.rt += r_pgan.total_seconds();
+    pgan_sum.rt += r_pgan.runtime_s;
   }
   const double n = static_cast<double>(suite.size());
   std::printf("%-14s | %9.1f %9.1f %7.2f | %9.1f %9.1f %7.2f | %9.1f %9.1f %7.2f\n",

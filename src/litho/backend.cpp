@@ -45,9 +45,7 @@ std::string litho_backend_name(const LithoBackendSpec& spec) {
 
 SocsKernels AbbeBackend::build(const OpticsConfig& optics, std::int32_t grid_size,
                                std::int32_t pixel_nm) const {
-  OpticsConfig cfg = optics;
-  cfg.kernel_method = KernelMethod::AbbeSource;
-  return SocsKernels(cfg, grid_size, pixel_nm);
+  return SocsKernels(optics, grid_size, pixel_nm);
 }
 
 TccBackend::TccBackend(int num_kernels, double min_captured_energy,

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "fft/fft.hpp"
-#include "litho/tcc.hpp"
 
 namespace ganopc::litho {
 
@@ -71,7 +70,10 @@ void SocsKernels::validate_geometry() const {
                                         << f_max << " >= nyquist=" << nyquist);
 }
 
-void SocsKernels::adopt(TccKernelSet set) {
+SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
+                         std::int32_t pixel_nm, TccKernelSet set)
+    : config_(config), grid_(grid_size), pixel_nm_(pixel_nm) {
+  validate_geometry();
   GANOPC_CHECK_MSG(!set.kernels_hat.empty() &&
                        set.kernels_hat.size() == set.weights.size(),
                    "kernel set must carry one weight per kernel");
@@ -99,23 +101,9 @@ void SocsKernels::adopt(TccKernelSet set) {
 }
 
 SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
-                         std::int32_t pixel_nm, TccKernelSet set)
-    : config_(config), grid_(grid_size), pixel_nm_(pixel_nm) {
-  validate_geometry();
-  adopt(std::move(set));
-}
-
-SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
                          std::int32_t pixel_nm)
     : config_(config), grid_(grid_size), pixel_nm_(pixel_nm) {
   validate_geometry();
-
-  if (config.kernel_method == KernelMethod::TccSvd) {
-    TccKernelSet tcc = compute_tcc_kernels(config, grid_size, pixel_nm,
-                                           config.num_kernels);
-    adopt(std::move(tcc));
-    return;
-  }
 
   const auto points = sample_annular_source(config, config.num_kernels);
   const auto un = static_cast<std::size_t>(grid_);

@@ -75,7 +75,6 @@ class SocsKernels {
 
  private:
   void validate_geometry() const;
-  void adopt(TccKernelSet set);
   void push_kernel(std::vector<std::complex<float>> hat,
                    std::vector<std::complex<float>> flipped, Support support, float weight);
 

@@ -1,12 +1,14 @@
-// Integration: the Figure 6 inference flow against the ILT baseline.
+// Integration: the Figure 6 inference flow against the ILT baseline, both run
+// as single-rung Engine sessions (no retry, no fallback, any finite L2
+// accepted); the ILT baseline is the session without a generator.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "core/dataset.hpp"
 #include "core/discriminator.hpp"
-#include "core/flow.hpp"
 #include "core/trainer.hpp"
+#include "engine/engine.hpp"
+#include "geometry/raster.hpp"
 #include "layout/synthesizer.hpp"
 
 namespace ganopc::core {
@@ -21,62 +23,71 @@ GanOpcConfig flow_config() {
   return cfg;
 }
 
+engine::EngineOptions flow_options(Generator* generator) {
+  engine::EngineOptions opts;
+  opts.config = flow_config();
+  opts.generator = generator;
+  opts.policy.allow_fallback = false;
+  opts.policy.max_retries = 0;
+  opts.policy.l2_accept_factor = 0.0f;
+  return opts;
+}
+
+engine::MaskResult run_flow(const engine::Engine& eng, const geom::Layout& clip) {
+  engine::BatchClip item;
+  item.id = "clip";
+  item.layout = clip;
+  engine::SubmitOptions opts;
+  opts.want_mask = true;
+  return eng.submit(item, opts);
+}
+
 TEST(FlowIntegration, IltOnlyFlowProducesValidResult) {
   const GanOpcConfig cfg = flow_config();
-  const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
-                            cfg.litho_pixel_nm());
-  const GanOpcFlow flow(cfg, nullptr, sim);
+  const engine::Engine eng(flow_options(nullptr));
 
   layout::SynthesisConfig synth;
   synth.clip_nm = cfg.clip_nm;
   Prng rng(11);
   const auto clip = layout::synthesize_clip(synth, rng);
-  const FlowResult result = flow.run_ilt_only(clip);
+  const engine::MaskResult result = run_flow(eng, clip);
+  const engine::BatchClipResult& row = result.row;
 
+  ASSERT_TRUE(row.ok()) << row.error;
+  EXPECT_EQ(row.stage, engine::BatchStage::Ilt);
   EXPECT_EQ(result.mask.rows, cfg.litho_grid);
-  EXPECT_GT(result.ilt_iterations, 0);
-  EXPECT_GT(result.l2_px, 0.0);
-  EXPECT_DOUBLE_EQ(result.l2_nm2,
-                   result.l2_px * cfg.litho_pixel_nm() * cfg.litho_pixel_nm());
+  EXPECT_GT(row.ilt_iterations, 0);
+  EXPECT_GT(row.l2_px, 0.0);
+  EXPECT_DOUBLE_EQ(row.l2_nm2, row.l2_px * cfg.litho_pixel_nm() * cfg.litho_pixel_nm());
   // The optimized mask must beat the uncorrected target-as-mask print.
-  const FlowResult uncorrected = flow.evaluate_mask(result.target, result.target);
-  EXPECT_LT(result.l2_px, uncorrected.l2_px);
+  const geom::Grid target =
+      geom::rasterize(clip, cfg.litho_pixel_nm(), /*threshold=*/true);
+  EXPECT_LT(row.l2_px, eng.sim().l2_error(target, target));
 }
 
 TEST(FlowIntegration, GanFlowRunsAndRefines) {
   const GanOpcConfig cfg = flow_config();
-  const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
-                            cfg.litho_pixel_nm());
-  const Dataset dataset = Dataset::generate(cfg, sim);
   Prng rng(12);
   Generator g(cfg.gan_grid, cfg.base_channels, rng);
   Discriminator d(cfg.gan_grid, cfg.base_channels, rng);
+  const engine::Engine eng(flow_options(&g));
+  const Dataset dataset = Dataset::generate(cfg, eng.sim());
   Prng train_rng(13);
-  GanOpcTrainer trainer(cfg, g, d, dataset, sim, train_rng);
+  GanOpcTrainer trainer(cfg, g, d, dataset, eng.sim(), train_rng);
   trainer.train(10);  // brief training; flow must still work end-to-end
 
-  const GanOpcFlow flow(cfg, &g, sim);
   layout::SynthesisConfig synth;
   synth.clip_nm = cfg.clip_nm;
   Prng clip_rng(14);
   const auto clip = layout::synthesize_clip(synth, clip_rng);
-  const FlowResult result = flow.run(clip);
-  EXPECT_GE(result.generator_seconds, 0.0);
-  EXPECT_GT(result.ilt_seconds, 0.0);
-  EXPECT_GT(result.pvb_nm2, 0);
+  const engine::MaskResult result = run_flow(eng, clip);
+  const engine::BatchClipResult& row = result.row;
+  ASSERT_TRUE(row.ok()) << row.error;
+  EXPECT_EQ(row.stage, engine::BatchStage::GanIlt);
+  EXPECT_GT(row.runtime_s, 0.0);
+  EXPECT_GT(row.ilt_iterations, 0);
+  EXPECT_GT(row.pvb_nm2, 0);
   for (float v : result.mask.data) EXPECT_TRUE(v == 0.0f || v == 1.0f);
-}
-
-TEST(FlowIntegration, FlowWithoutGeneratorRejectsRun) {
-  const GanOpcConfig cfg = flow_config();
-  const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
-                            cfg.litho_pixel_nm());
-  const GanOpcFlow flow(cfg, nullptr, sim);
-  layout::SynthesisConfig synth;
-  synth.clip_nm = cfg.clip_nm;
-  Prng rng(15);
-  const auto clip = layout::synthesize_clip(synth, rng);
-  EXPECT_THROW(flow.run(clip), Error);
 }
 
 }  // namespace

@@ -117,12 +117,15 @@ TEST_F(LedgerCrashTest, SigkillLeavesParseablePrefixAndResumeAppendsNewRun) {
 TEST_F(LedgerCrashTest, InjectedNanDumpsFlightRecorderCrashReport) {
   const std::string clips = make_clips(1);
   // Persistent NaN in every litho gradient: ILT terminates Diverged on its
-  // first step and the watchdog path must dump the flight recorder.
-  const int rc = run_cli("ilt --layout " + path("clip0.txt") +
-                             " --grid 64 --iters 20 --out " + path("ilt") +
+  // first step and the watchdog path must dump the flight recorder. One ILT
+  // rung, no retry, no fallback: the divergence is the clip's only outcome.
+  const int rc = run_cli("optimize --layout " + path("clip0.txt") +
+                             " --scale quick --grid 64 --iters 20 --fallback 0"
+                             " --max-retries 0 --mask-out " + path("mask.pgm") +
                              " --ledger-out " + path("run.jsonl"),
                          "litho.gradient_nan:0:-1");
   ASSERT_TRUE(WIFEXITED(rc)) << read_bytes(path("stdout.txt"));
+  EXPECT_EQ(WEXITSTATUS(rc), 3) << read_bytes(path("stdout.txt"));
 
   const std::string crash = path("run.jsonl") + ".crash.json";
   ASSERT_TRUE(fs::exists(crash)) << read_bytes(path("stdout.txt"));

@@ -17,6 +17,15 @@ OpticsConfig base_optics() {
   return cfg;
 }
 
+// A simulator on the top-k TCC eigen-kernels, adopted by SocsKernels.
+LithoSim tcc_sim(int k, std::int32_t grid, std::int32_t pixel) {
+  OpticsConfig optics = base_optics();
+  optics.num_kernels = k;
+  return LithoSim(SocsKernels(optics, grid, pixel,
+                              compute_tcc_kernels(optics, grid, pixel, k)),
+                  ResistConfig{});
+}
+
 geom::Grid wire_mask(std::int32_t grid, std::int32_t pixel) {
   geom::Grid g(grid, grid, pixel);
   for (std::int32_t r = grid / 4; r < 3 * grid / 4; ++r)
@@ -59,18 +68,12 @@ TEST(Tcc, FewerKernelsNeededThanAbbe) {
   // reference (32 TCC kernels from a dense 1024-sample source, capturing
   // essentially the whole operator), a 12-kernel TCC simulator is closer
   // than a 12-point Abbe simulator.
-  OpticsConfig reference = base_optics();
-  reference.num_kernels = 32;
-  reference.kernel_method = KernelMethod::TccSvd;
   OpticsConfig abbe12 = base_optics();
   abbe12.num_kernels = 12;
-  OpticsConfig tcc12 = base_optics();
-  tcc12.num_kernels = 12;
-  tcc12.kernel_method = KernelMethod::TccSvd;
 
-  const LithoSim sim_ref(reference, ResistConfig{}, 64, 16);
+  const LithoSim sim_ref = tcc_sim(32, 64, 16);
   const LithoSim sim_abbe(abbe12, ResistConfig{}, 64, 16);
-  const LithoSim sim_tcc(tcc12, ResistConfig{}, 64, 16);
+  const LithoSim sim_tcc = tcc_sim(12, 64, 16);
 
   const geom::Grid mask = wire_mask(64, 16);
   const geom::Grid ref = sim_ref.aerial(mask);
@@ -86,10 +89,7 @@ TEST(Tcc, FewerKernelsNeededThanAbbe) {
 }
 
 TEST(Tcc, WorksThroughFullPipeline) {
-  OpticsConfig optics = base_optics();
-  optics.num_kernels = 8;
-  optics.kernel_method = KernelMethod::TccSvd;
-  const LithoSim sim(optics, ResistConfig{}, 64, 16);
+  const LithoSim sim = tcc_sim(8, 64, 16);
   EXPECT_GT(sim.threshold(), 0.1f);
   EXPECT_LT(sim.threshold(), 0.5f);
   const geom::Grid mask = wire_mask(64, 16);

@@ -241,7 +241,7 @@ TEST_F(TrainerResumeTest, WeightsOnlyFileRejectedByResume) {
 }
 
 TEST_F(TrainerResumeTest, GeneratorLoadableFromTrainerCheckpoint) {
-  // `ganopc flow --generator ckpt` accepts a full trainer checkpoint.
+  // `ganopc optimize --generator ckpt` accepts a full trainer checkpoint.
   const auto cfg = testutil::make_tiny_config();
   const auto ckpt = temp_path("ganopc_resume_genload.ckpt");
   Rig rig(cfg);

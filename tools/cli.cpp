@@ -2,17 +2,13 @@
 //
 //   ganopc synth    [--count N] [--seed S] [--out PREFIX]
 //   ganopc sraf     --layout FILE [--out FILE]
-//   ganopc ilt      --layout FILE [--grid N] [--iters N] [--out PREFIX]
-//                   [--litho-backend abbe|tcc|tcc:K]
 //   ganopc mbopc    --layout FILE [--grid N] [--iters N] [--out PREFIX]
-//                   [--litho-backend SPEC]
+//                   [--litho-backend abbe|tcc|tcc:K]
 //   ganopc eval     --layout FILE --mask FILE.pgm [--grid N]
 //                   [--litho-backend SPEC]
 //   ganopc train    [--scale NAME] [--dataset FILE] [--out FILE.bin]
 //                   [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
 //                   [--pretrain-iters N] [--train-iters N]
-//   ganopc flow     --layout FILE --generator FILE.bin [--scale NAME]
-//                   [--litho-backend SPEC]
 //   ganopc optimize --layout FILE [--id NAME] [--scale NAME] [--grid N]
 //                   [--iters N] [--generator FILE.bin] [--litho-backend SPEC]
 //                   [--deadline-s SEC] [--max-retries N] [--fallback 0|1]
@@ -49,7 +45,9 @@
 //
 // `optimize`, `batch` and `serve` all route through the same
 // ganopc::engine::Engine session (DESIGN.md §15), so one clip produces
-// bit-identical results no matter which front-end carried it in. The litho
+// bit-identical results no matter which front-end carried it in. The Figure 6
+// flow is `optimize --generator G --fallback 0`; plain ILT from the target is
+// `optimize --fallback 0 --accept-factor 0` (one rung, any finite L2). The litho
 // model behind any command is chosen with --litho-backend (DESIGN.md §15):
 //   abbe    exact Abbe source-point kernels (the default, the reference)
 //   tcc     TCC eigen-kernels auto-truncated at >= 99% captured energy
@@ -91,14 +89,12 @@
 #include "core/config.hpp"
 #include "core/dataset.hpp"
 #include "core/discriminator.hpp"
-#include "core/flow.hpp"
 #include "core/generator.hpp"
 #include "core/trainer.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/clip_io.hpp"
 #include "engine/engine.hpp"
 #include "geometry/raster.hpp"
-#include "ilt/ilt.hpp"
 #include "layout/synthesizer.hpp"
 #include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
@@ -174,7 +170,7 @@ litho::LithoBackendSpec backend_spec(const Args& args) {
   return litho::parse_litho_backend(args.get("litho-backend", "abbe"));
 }
 
-// Standalone simulator for the direct commands (ilt/mbopc/eval), built
+// Standalone simulator for the direct commands (mbopc/eval), built
 // through the same pluggable backend the Engine uses.
 litho::LithoSim make_sim(const geom::Layout& clip, int grid, const Args& args) {
   GANOPC_CHECK_MSG(clip.clip().width() == clip.clip().height(),
@@ -215,24 +211,6 @@ int cmd_sraf(const Args& args) {
   const std::string out = args.get("out", "decorated.txt");
   result.decorated.save(out);
   std::printf("inserted %zu scatter bars; wrote %s\n", result.bars.size(), out.c_str());
-  return 0;
-}
-
-int cmd_ilt(const Args& args) {
-  const geom::Layout clip = load_layout(args);
-  const litho::LithoSim sim = make_sim(clip, args.get_int("grid", 256), args);
-  const geom::Grid target = geom::rasterize(clip, sim.pixel_nm(), /*threshold=*/true);
-  ilt::IltConfig cfg;
-  cfg.max_iterations = args.get_int("iters", 200);
-  const ilt::IltEngine engine(sim, cfg);
-  const ilt::IltResult result = engine.optimize(target);
-  std::printf("ILT: %d iterations, %.2fs, hard L2 %.0f px (%.0f nm^2)\n",
-              result.iterations, result.runtime_s, result.l2_px,
-              result.l2_px * sim.pixel_nm() * sim.pixel_nm());
-  const std::string prefix = args.get("out", "ilt");
-  dump(target, prefix + "_target.pgm");
-  dump(result.mask, prefix + "_mask.pgm");
-  dump(sim.simulate(result.mask), prefix + "_wafer.pgm");
   return 0;
 }
 
@@ -346,30 +324,8 @@ int cmd_train(const Args& args) {
 
   const std::string out = args.get("out", "pgan_generator.bin");
   nn::save_parameters(generator.net(), out);
-  std::printf("saved %s — load it with `ganopc flow --generator %s`\n", out.c_str(),
-              out.c_str());
-  return 0;
-}
-
-int cmd_flow(const Args& args) {
-  const geom::Layout clip = load_layout(args);
-  core::GanOpcConfig cfg = core::make_config(core::parse_scale(args.get("scale", "quick")));
-  GANOPC_CHECK_MSG(clip.clip().width() == cfg.clip_nm,
-                   "layout clip must be " << cfg.clip_nm << "nm for scale "
-                                          << args.get("scale", "quick"));
-  const litho::LithoSim sim(
-      litho::make_litho_backend(backend_spec(args))
-          ->build(cfg.optics, cfg.litho_grid, cfg.litho_pixel_nm()),
-      litho::ResistConfig{});
-  Prng rng(cfg.seed);
-  core::Generator generator(cfg.gan_grid, cfg.base_channels, rng);
-  nn::load_parameters(generator.net(), args.require("generator"));
-  const core::GanOpcFlow flow(cfg, &generator, sim);
-  const core::FlowResult result = flow.run(clip);
-  std::printf("GAN-OPC flow: L2 %.0f nm^2, PVB %ld nm^2, %.2fs (%d ILT iters)\n",
-              result.l2_nm2, static_cast<long>(result.pvb_nm2), result.total_seconds(),
-              result.ilt_iterations);
-  dump(result.mask, args.get("out", "flow") + "_mask.pgm");
+  std::printf("saved %s — load it with `ganopc optimize --generator %s`\n",
+              out.c_str(), out.c_str());
   return 0;
 }
 
@@ -646,7 +602,7 @@ int cmd_report(const Args& args) {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: ganopc <synth|sraf|ilt|mbopc|eval|train|flow|optimize|batch|serve|report> [--flag value ...]\n"
+               "usage: ganopc <synth|sraf|mbopc|eval|train|optimize|batch|serve|txt2gds|gds2txt|report> [--flag value ...]\n"
                "global flags: --metrics-out FILE (Prometheus text, or JSON when\n"
                "FILE ends in .json), --trace-out FILE (chrome://tracing JSON)\n"
                "and --ledger-out FILE (JSONL run ledger + flight recorder);\n"
@@ -748,11 +704,9 @@ class LedgerSink {
 int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "synth") return cmd_synth(args);
   if (cmd == "sraf") return cmd_sraf(args);
-  if (cmd == "ilt") return cmd_ilt(args);
   if (cmd == "mbopc") return cmd_mbopc(args);
   if (cmd == "eval") return cmd_eval(args);
   if (cmd == "train") return cmd_train(args);
-  if (cmd == "flow") return cmd_flow(args);
   if (cmd == "optimize") return cmd_optimize(args);
   if (cmd == "batch") return cmd_batch(args);
   if (cmd == "serve") return cmd_serve(args);
