@@ -2,7 +2,7 @@
 //
 // The observability stack writes JSON with hand-rolled emitters (obs::to_json,
 // the JSONL ledger) because the write side wants exact control over field
-// order and float formatting. The *read* side — `ganopc report`, tools/obs_diff
+// order and float formatting. The *read* side — `ganopc report`, tools/trace_stitch
 // and the ledger round-trip tests — needs a real parser, which lives here so
 // every consumer agrees on one grammar.
 //

@@ -165,92 +165,6 @@ Tensor Tanh::backward(const Tensor& grad_output) {
   return g;
 }
 
-// ---------------------------------------------------------------- AvgPool2d
-
-AvgPool2d::AvgPool2d(std::int64_t k) : k_(k) { GANOPC_CHECK(k > 0); }
-
-Tensor AvgPool2d::forward(const Tensor& input) {
-  GANOPC_CHECK_MSG(input.dim() == 4, "AvgPool2d expects NCHW, got " << input.shape_str());
-  const auto N = input.shape(0), C = input.shape(1), H = input.shape(2), W = input.shape(3);
-  GANOPC_CHECK_MSG(H % k_ == 0 && W % k_ == 0, "AvgPool2d: dims not divisible by k");
-  in_shape_ = input.shape();
-  const auto Ho = H / k_, Wo = W / k_;
-  Tensor out({N, C, Ho, Wo});
-  const float inv = 1.0f / static_cast<float>(k_ * k_);
-  for (std::int64_t n = 0; n < N; ++n)
-    for (std::int64_t c = 0; c < C; ++c)
-      for (std::int64_t oh = 0; oh < Ho; ++oh)
-        for (std::int64_t ow = 0; ow < Wo; ++ow) {
-          float acc = 0.0f;
-          for (std::int64_t dh = 0; dh < k_; ++dh)
-            for (std::int64_t dw = 0; dw < k_; ++dw)
-              acc += input.at4(n, c, oh * k_ + dh, ow * k_ + dw);
-          out.at4(n, c, oh, ow) = acc * inv;
-        }
-  return out;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  GANOPC_CHECK_MSG(!in_shape_.empty(), "AvgPool2d backward without forward");
-  Tensor g(in_shape_);
-  const auto N = in_shape_[0], C = in_shape_[1];
-  const auto Ho = grad_output.shape(2), Wo = grad_output.shape(3);
-  const float inv = 1.0f / static_cast<float>(k_ * k_);
-  for (std::int64_t n = 0; n < N; ++n)
-    for (std::int64_t c = 0; c < C; ++c)
-      for (std::int64_t oh = 0; oh < Ho; ++oh)
-        for (std::int64_t ow = 0; ow < Wo; ++ow) {
-          const float v = grad_output.at4(n, c, oh, ow) * inv;
-          for (std::int64_t dh = 0; dh < k_; ++dh)
-            for (std::int64_t dw = 0; dw < k_; ++dw)
-              g.at4(n, c, oh * k_ + dh, ow * k_ + dw) = v;
-        }
-  return g;
-}
-
-// ---------------------------------------------------------------- MaxPool2d
-
-MaxPool2d::MaxPool2d(std::int64_t k) : k_(k) { GANOPC_CHECK(k > 0); }
-
-Tensor MaxPool2d::forward(const Tensor& input) {
-  GANOPC_CHECK_MSG(input.dim() == 4, "MaxPool2d expects NCHW, got " << input.shape_str());
-  const auto N = input.shape(0), C = input.shape(1), H = input.shape(2), W = input.shape(3);
-  GANOPC_CHECK_MSG(H % k_ == 0 && W % k_ == 0, "MaxPool2d: dims not divisible by k");
-  in_shape_ = input.shape();
-  const auto Ho = H / k_, Wo = W / k_;
-  Tensor out({N, C, Ho, Wo});
-  if (training_) argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
-  std::int64_t oi = 0;
-  for (std::int64_t n = 0; n < N; ++n)
-    for (std::int64_t c = 0; c < C; ++c)
-      for (std::int64_t oh = 0; oh < Ho; ++oh)
-        for (std::int64_t ow = 0; ow < Wo; ++ow, ++oi) {
-          float best = input.at4(n, c, oh * k_, ow * k_);
-          std::int64_t best_idx = ((n * C + c) * H + oh * k_) * W + ow * k_;
-          for (std::int64_t dh = 0; dh < k_; ++dh)
-            for (std::int64_t dw = 0; dw < k_; ++dw) {
-              const float v = input.at4(n, c, oh * k_ + dh, ow * k_ + dw);
-              if (v > best) {
-                best = v;
-                best_idx = ((n * C + c) * H + oh * k_ + dh) * W + ow * k_ + dw;
-              }
-            }
-          out[oi] = best;
-          if (training_) argmax_[static_cast<std::size_t>(oi)] = best_idx;
-        }
-  return out;
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  GANOPC_CHECK_MSG(!in_shape_.empty() && !argmax_.empty(),
-                   "MaxPool2d backward without training forward");
-  GANOPC_CHECK(static_cast<std::size_t>(grad_output.numel()) == argmax_.size());
-  Tensor g(in_shape_);
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i)
-    g[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];
-  return g;
-}
-
 // ------------------------------------------------------------------ Dropout
 
 Dropout::Dropout(float p, std::uint64_t seed) : p_(p), rng_(seed) {

@@ -54,35 +54,6 @@ class Tanh final : public Layer {
   Tensor output_;
 };
 
-/// Non-overlapping k x k average pooling (stride == k). Input NCHW with H, W
-/// divisible by k. This is the paper's 8x8 down-sampling operator (§4).
-class AvgPool2d final : public Layer {
- public:
-  explicit AvgPool2d(std::int64_t k);
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "AvgPool2d"; }
-
- private:
-  std::int64_t k_;
-  std::vector<std::int64_t> in_shape_;
-};
-
-/// Non-overlapping k x k max pooling (stride == k). Input NCHW with H, W
-/// divisible by k.
-class MaxPool2d final : public Layer {
- public:
-  explicit MaxPool2d(std::int64_t k);
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "MaxPool2d"; }
-
- private:
-  std::int64_t k_;
-  std::vector<std::int64_t> in_shape_;
-  std::vector<std::int64_t> argmax_;  // flat input index per output element
-};
-
 /// Inverted dropout: scales kept activations by 1/(1-p) during training so
 /// evaluation is a plain pass-through. Randomness comes from the seeded Prng
 /// supplied at construction, keeping runs reproducible.

@@ -6,12 +6,12 @@
 
 namespace ganopc::nn {
 
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
   for (auto& p : params_)
     if (p.grad) p.grad->zero();
 }
 
-float Optimizer::clip_grad_norm(float max_norm) {
+float Adam::clip_grad_norm(float max_norm) {
   GANOPC_CHECK(max_norm > 0.0f);
   double sq = 0.0;
   for (auto& p : params_) sq += p.grad->squared_l2();
@@ -23,32 +23,8 @@ float Optimizer::clip_grad_norm(float max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Param> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  GANOPC_CHECK(lr > 0.0f && momentum >= 0.0f && momentum < 1.0f);
-  velocity_.reserve(params_.size());
-  for (auto& p : params_) velocity_.emplace_back(p.value->shape());
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& w = *params_[i].value;
-    Tensor& g = *params_[i].grad;
-    Tensor& v = velocity_[i];
-    if (momentum_ > 0.0f) {
-      for (std::int64_t j = 0; j < w.numel(); ++j) {
-        v[j] = momentum_ * v[j] + g[j];
-        w[j] -= lr_ * v[j];
-      }
-    } else {
-      for (std::int64_t j = 0; j < w.numel(); ++j) w[j] -= lr_ * g[j];
-    }
-    g.zero();
-  }
-}
-
 Adam::Adam(std::vector<Param> params, float lr, float beta1, float beta2, float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   GANOPC_CHECK(lr > 0.0f && beta1 >= 0.0f && beta1 < 1.0f && beta2 >= 0.0f && beta2 < 1.0f);
   m_.reserve(params_.size());
   v_.reserve(params_.size());

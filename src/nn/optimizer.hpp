@@ -1,7 +1,8 @@
-// Gradient-descent optimizers. Both implement the mini-batch update
+// The gradient-descent optimizer behind every trained network: Adam, the
+// adaptive form of the mini-batch update
 //   W <- W - (lambda/m) * dW   (Eq. 15)
-// when configured with lr = lambda and the caller scaling gradients by 1/m
-// (or equivalently using mean losses).
+// with lr = lambda and the caller scaling gradients by 1/m (or equivalently
+// using mean losses).
 #pragma once
 
 #include <vector>
@@ -10,41 +11,20 @@
 
 namespace ganopc::nn {
 
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Param> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
+       float eps = 1e-8f);
 
   /// Apply one update from the accumulated gradients, then zero them.
-  virtual void step() = 0;
+  void step();
 
   void zero_grad();
 
   /// Global L2 gradient-norm clipping (applied by callers before step()).
   /// Returns the pre-clip norm.
   float clip_grad_norm(float max_norm);
-
- protected:
-  std::vector<Param> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float lr_, momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Param> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-       float eps = 1e-8f);
-  void step() override;
 
   float learning_rate() const { return lr_; }
   void set_learning_rate(float lr);
@@ -59,6 +39,7 @@ class Adam final : public Optimizer {
   void restore_state(std::int64_t t, std::vector<Tensor> m, std::vector<Tensor> v);
 
  private:
+  std::vector<Param> params_;
   float lr_, beta1_, beta2_, eps_;
   std::int64_t t_ = 0;
   std::vector<Tensor> m_, v_;

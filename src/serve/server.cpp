@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -67,52 +69,64 @@ std::string retry_after(double seconds) {
       std::max(1L, std::lround(std::ceil(std::max(0.0, seconds)))));
 }
 
-// ---- per-request stage attribution (DESIGN.md §16) ----
+// ---- per-request stage attribution (DESIGN.md §16.3) ----
 
-struct StageSeconds {
-  double queue_s = 0.0;     ///< admission -> supervisor dispatch
-  double dispatch_s = 0.0;  ///< dispatch -> worker pickup (pipe transit)
-  double decode_s = 0.0;    ///< layout load/parse inside the worker
-  double litho_s = 0.0;     ///< aerial/gradient/pv-band simulation
-  double ilt_s = 0.0;       ///< ILT solver wall time
-  double encode_s = 0.0;    ///< result row + mask PGM encoding
+/// One row per request stage, in wire order. Every sink is a loop over this
+/// table: the six doubles of the worker's result payload, the
+/// `serve.stage.<key>_s` histograms, the `<key>_s` request_end ledger fields
+/// and the `X-Ganopc-Stage-<Key>-S` response headers.
+struct Stage {
+  std::string_view key;
+  /// Duration histograms whose growth across Engine::submit is the stage's
+  /// time (worker-measured stages); empty for stages timed from clocks.
+  std::vector<std::string_view> spans;
 };
 
-void encode_stages(ByteWriter& w, const StageSeconds& s) {
-  w.pod<double>(s.queue_s);
-  w.pod<double>(s.dispatch_s);
-  w.pod<double>(s.decode_s);
-  w.pod<double>(s.litho_s);
-  w.pod<double>(s.ilt_s);
-  w.pod<double>(s.encode_s);
-}
+enum StageIndex : std::size_t {
+  kQueue, kDispatch, kDecode, kLitho, kIlt, kEncode, kStageCount
+};
 
-StageSeconds decode_stages(ByteReader& r) {
-  StageSeconds s;
-  s.queue_s = r.pod<double>();
-  s.dispatch_s = r.pod<double>();
-  s.decode_s = r.pod<double>();
-  s.litho_s = r.pod<double>();
-  s.ilt_s = r.pod<double>();
-  s.encode_s = r.pod<double>();
-  return s;
-}
+const Stage kStages[kStageCount] = {
+    {"queue", {}},     // admission -> supervisor dispatch
+    {"dispatch", {}},  // dispatch -> worker pickup (pipe transit)
+    {"decode", {"batch.load_clip.seconds"}},
+    // The outermost litho entry points only: litho.aerial runs inside
+    // simulate and pv_band, and simulate_batch wraps simulate.
+    {"litho",
+     {"litho.simulate.seconds", "litho.forward_relaxed.seconds",
+      "litho.gradient.seconds", "litho.pv_band.seconds"}},
+    {"ilt", {"ilt.optimize.seconds"}},
+    {"encode", {}},  // result row + mask PGM encoding
+};
 
-/// Sum of a named histogram's observations, 0 when absent.
-double hist_sum(const obs::Snapshot& snap, std::string_view name) {
-  const obs::HistogramSnapshot* h = snap.find_histogram(name);
-  return h != nullptr ? h->sum : 0.0;
-}
+using StageSeconds = std::array<double, kStageCount>;
 
-/// Total litho seconds: every `litho.*.seconds` duration histogram.
-double litho_seconds(const obs::Snapshot& snap) {
+/// Seconds recorded so far by a stage's span histograms.
+double span_seconds(const obs::Snapshot& snap, const Stage& stage) {
   double total = 0.0;
-  for (const auto& h : snap.histograms) {
-    if (h.name.rfind("litho.", 0) == 0 && h.name.size() > 8 &&
-        h.name.compare(h.name.size() - 8, 8, ".seconds") == 0)
-      total += h.sum;
-  }
+  for (const std::string_view name : stage.spans)
+    if (const obs::HistogramSnapshot* h = snap.find_histogram(name))
+      total += h->sum;
   return total;
+}
+
+std::string stage_header(std::string_view key) {
+  std::string h = "X-Ganopc-Stage-";
+  h += static_cast<char>(std::toupper(static_cast<unsigned char>(key[0])));
+  h.append(key.substr(1));
+  return h + "-S";
+}
+
+/// Trace-only span for a worker stage timed from clocks (the supervisor owns
+/// the serve.stage.*_s histograms; a metric here would double-count once the
+/// worker's delta merges).
+void record_stage_span(StageIndex stage, std::uint64_t begin_ns,
+                       std::uint64_t end_ns, std::uint64_t trace_id,
+                       std::uint64_t parent_span) {
+  obs::record_span(
+      obs::span_site("serve.stage." + std::string(kStages[stage].key)),
+      begin_ns, end_ns, trace_id, obs::next_span_id(), parent_span,
+      /*with_metrics=*/false);
 }
 
 std::string hex_id(std::uint64_t v) {
@@ -180,20 +194,15 @@ std::string Server::worker_entry(const std::string& payload, int crashes) const 
   // clocks (workers are fork twins, CLOCK_MONOTONIC is shared), decode/
   // litho/ILT from per-task deltas of the engine's duration histograms.
   const proc::TaskHeader th = proc::current_task_header();
-  StageSeconds stages;
-  if (admit_ns != 0 && th.dispatch_ns >= admit_ns)
-    stages.queue_s = static_cast<double>(th.dispatch_ns - admit_ns) * 1e-9;
-  if (th.dispatch_ns != 0 && recv_ns >= th.dispatch_ns)
-    stages.dispatch_s = static_cast<double>(recv_ns - th.dispatch_ns) * 1e-9;
-  if (th.trace_id != 0 && admit_ns != 0 && th.dispatch_ns >= admit_ns) {
-    // Trace-only (the supervisor owns the serve.stage.* histograms; a
-    // metric here would double-count once the delta merges).
-    static const obs::SpanSite& queue_site =
-        obs::span_site("serve.stage.queue");
-    obs::record_span(queue_site, admit_ns, th.dispatch_ns, th.trace_id,
-                     obs::next_span_id(), th.parent_span,
-                     /*with_metrics=*/false);
+  StageSeconds stages{};
+  if (admit_ns != 0 && th.dispatch_ns >= admit_ns) {
+    stages[kQueue] = static_cast<double>(th.dispatch_ns - admit_ns) * 1e-9;
+    if (th.trace_id != 0)
+      record_stage_span(kQueue, admit_ns, th.dispatch_ns, th.trace_id,
+                        th.parent_span);
   }
+  if (th.dispatch_ns != 0 && recv_ns >= th.dispatch_ns)
+    stages[kDispatch] = static_cast<double>(recv_ns - th.dispatch_ns) * 1e-9;
 
   const bool track_stages = obs::metrics_enabled();
   obs::Snapshot before;
@@ -226,11 +235,10 @@ std::string Server::worker_entry(const std::string& payload, int crashes) const 
 
   if (track_stages) {
     const obs::Snapshot after = obs::snapshot();
-    stages.decode_s = hist_sum(after, "batch.load_clip.seconds") -
-                      hist_sum(before, "batch.load_clip.seconds");
-    stages.litho_s = litho_seconds(after) - litho_seconds(before);
-    stages.ilt_s = hist_sum(after, "ilt.optimize.seconds") -
-                   hist_sum(before, "ilt.optimize.seconds");
+    for (std::size_t i = 0; i < kStageCount; ++i)
+      if (!kStages[i].spans.empty())
+        stages[i] = span_seconds(after, kStages[i]) -
+                    span_seconds(before, kStages[i]);
   }
 
   const std::uint64_t encode_start_ns = obs::monotonic_ns();
@@ -241,16 +249,12 @@ std::string Server::worker_entry(const std::string& payload, int crashes) const 
   w.pod<std::uint8_t>(has_mask ? 1 : 0);
   if (has_mask) w.str(engine::encode_mask_pgm(result.mask));
   const std::uint64_t encode_end_ns = obs::monotonic_ns();
-  stages.encode_s =
+  stages[kEncode] =
       static_cast<double>(encode_end_ns - encode_start_ns) * 1e-9;
-  if (th.trace_id != 0) {
-    static const obs::SpanSite& encode_site =
-        obs::span_site("serve.stage.encode");
-    obs::record_span(encode_site, encode_start_ns, encode_end_ns, th.trace_id,
-                     obs::next_span_id(), obs::trace_context().parent_span,
-                     /*with_metrics=*/false);
-  }
-  encode_stages(w, stages);
+  if (th.trace_id != 0)
+    record_stage_span(kEncode, encode_start_ns, encode_end_ns, th.trace_id,
+                      obs::trace_context().parent_span);
+  for (const double s : stages) w.pod<double>(s);
   return w.buffer();
 }
 
@@ -531,10 +535,8 @@ void Server::sweep_timeouts(double now) {
   }
 }
 
-void Server::respond(
-    Conn& conn, int code, const std::string& body,
-    std::string_view content_type,
-    const std::vector<std::pair<std::string, std::string>>& extra) {
+void Server::respond(Conn& conn, int code, const std::string& body,
+                     std::string_view content_type, const Headers& extra) {
   conn.out = http_response(code, body, content_type, extra,
                            conn.close_after_flush);
   conn.out_off = 0;
@@ -621,6 +623,9 @@ void Server::handle_optimize(Conn& conn, const HttpRequest& req) {
   }
 
   // ---- decode the request body into (id, deadline, spooled clip) ----
+  const auto bad_request = [&](const std::string& rid, const std::string& why) {
+    respond(conn, 400, error_body(rid, why, StatusCode::kInvalidInput));
+  };
   std::string id;
   double deadline_s = 0.0;
   std::string clip_bytes;
@@ -634,47 +639,27 @@ void Server::handle_optimize(Conn& conn, const HttpRequest& req) {
       (ctype != nullptr && ctype->rfind("application/octet-stream", 0) == 0);
   if (is_json) {
     json::Value doc;
-    if (!json::try_parse(req.body, doc) || !doc.is_object()) {
-      respond(conn, 400,
-              error_body("", "request body is not valid JSON",
-                         StatusCode::kInvalidInput));
-      return;
-    }
+    if (!json::try_parse(req.body, doc) || !doc.is_object())
+      return bad_request("", "request body is not valid JSON");
     id = doc.string_or("id", "");
     deadline_s = doc.number_or("deadline_s", 0.0);
     const json::Value* layout = doc.find("layout");
-    if (layout == nullptr || !layout->is_string()) {
-      respond(conn, 400,
-              error_body(id, "JSON requests need a \"layout\" text field",
-                         StatusCode::kInvalidInput));
-      return;
-    }
+    if (layout == nullptr || !layout->is_string())
+      return bad_request(id, "JSON requests need a \"layout\" text field");
     clip_bytes = layout->as_string();
   } else {
     clip_bytes = req.body;
     if (is_gds) ext = ".gds";
   }
-  if (clip_bytes.empty()) {
-    respond(conn, 400,
-            error_body(id, "empty request body", StatusCode::kInvalidInput));
-    return;
-  }
+  if (clip_bytes.empty()) return bad_request(id, "empty request body");
   if (id.empty()) {
     if (const std::string* h = req.header("X-Request-Id")) id = *h;
   }
   if (id.empty()) id = "req-" + std::to_string(requests_);
-  if (!valid_request_id(id)) {
-    respond(conn, 400,
-            error_body("", "request id must match [A-Za-z0-9._-]{1,64}",
-                       StatusCode::kInvalidInput));
-    return;
-  }
-  if (pending_.count(id) != 0) {
-    respond(conn, 400,
-            error_body(id, "a request with this id is already in flight",
-                       StatusCode::kInvalidInput));
-    return;
-  }
+  if (!valid_request_id(id))
+    return bad_request("", "request id must match [A-Za-z0-9._-]{1,64}");
+  if (pending_.count(id) != 0)
+    return bad_request(id, "a request with this id is already in flight");
   if (deadline_s <= 0.0) {
     const std::string q = req.query_param("deadline_s");
     if (!q.empty()) deadline_s = std::atof(q.c_str());
@@ -779,60 +764,68 @@ void Server::handle_optimize(Conn& conn, const HttpRequest& req) {
 void Server::on_result(const proc::TaskResult& tr) {
   const auto it = pending_.find(tr.id);
   if (it == pending_.end()) return;  // already failed out (pool loss, drain)
-  const PendingReq pr = std::move(it->second);
-  pending_.erase(it);
-  ::unlink(pr.spool_path.c_str());
-  const double wall_s = net::now_s() - pr.submit_s;
+  const double wall_s = net::now_s() - it->second.submit_s;
 
-  int http = 500;
-  std::string body;
-  std::string mask_pgm;
+  Ending end;
+  end.crashes = tr.crashes;
+  StageSeconds stages{};
   engine::BatchClipResult res;
-  StageSeconds stages;
-  bool decoded = false;
-
+  std::string mask_pgm;
   if (tr.cancelled) {
-    http = 503;
-    body = error_body(tr.id, tr.error, StatusCode::kCancelled);
+    end.http = 503;
+    end.code = StatusCode::kCancelled;
+    end.body = error_body(tr.id, tr.error, end.code);
   } else if (tr.quarantined) {
-    http = 502;
-    body = error_body(tr.id,
-                      tr.error.empty()
-                          ? "request crashed " +
-                                std::to_string(serve_.quarantine_kills) +
-                                " workers and was quarantined"
-                          : tr.error,
-                      StatusCode::kQuarantined);
+    end.http = 502;
+    end.code = StatusCode::kQuarantined;
+    end.body = error_body(tr.id,
+                          tr.error.empty()
+                              ? "request crashed " +
+                                    std::to_string(serve_.quarantine_kills) +
+                                    " workers and was quarantined"
+                              : tr.error,
+                          end.code);
   } else if (!tr.error.empty()) {
-    http = 500;
-    body = error_body(tr.id, tr.error, StatusCode::kInternal);
+    end.body = error_body(tr.id, tr.error, end.code);
   } else {
     try {
       ByteReader r(tr.payload.data(), tr.payload.size(), "serve result");
       res = engine::decode_clip_result(r, tr.id, "serve result");
       if (r.pod<std::uint8_t>() != 0) mask_pgm = r.str((64u << 20) + 64);
-      stages = decode_stages(r);
-      decoded = true;
+      for (double& s : stages) s = r.pod<double>();
+      end.stage_s = stages;
     } catch (const std::exception& e) {
-      http = 500;
-      body = error_body(tr.id, std::string("undecodable worker response: ") +
-                                   e.what());
+      end.body = error_body(
+          tr.id, std::string("undecodable worker response: ") + e.what());
     }
   }
+  if (end.stage_s.empty()) {  // the worker sent no result to report
+    complete(it, wall_s, std::move(end));
+    return;
+  }
 
-  if (decoded) {
-    http = http_code_for(res.code);
-    consecutive_deaths_ = 0;  // a surviving worker closes the breaker window
-    const double sample = res.runtime_s > 0.0 ? res.runtime_s : wall_s;
-    ewma_task_s_ = ewma_task_s_ <= 0.0
-                       ? sample
-                       : kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * ewma_task_s_;
+  end.http = http_code_for(res.code);
+  end.code = res.code;
+  end.stage = engine::batch_stage_name(res.stage);
+  consecutive_deaths_ = 0;  // a surviving worker closes the breaker window
+  const double sample = res.runtime_s > 0.0 ? res.runtime_s : wall_s;
+  ewma_task_s_ = ewma_task_s_ <= 0.0
+                     ? sample
+                     : kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * ewma_task_s_;
+  if (it->second.want_mask && end.http == 200 && !mask_pgm.empty()) {
+    end.body = std::move(mask_pgm);
+    end.content_type = "image/x-portable-graymap";
+    end.headers = {{"X-Ganopc-Id", tr.id},
+                   {"X-Ganopc-Stage", std::string(end.stage)},
+                   {"X-Ganopc-L2-Nm2", std::to_string(res.l2_nm2)},
+                   {"X-Ganopc-Crashes", std::to_string(tr.crashes)}};
+  } else {
     json::Value obj = json::Value::object();
     obj.set("id", json::Value::string(tr.id));
     obj.set("ok", json::Value::boolean(res.ok()));
     obj.set("code", json::Value::string(status_code_name(res.code)));
-    obj.set("stage", json::Value::string(engine::batch_stage_name(res.stage)));
-    obj.set("degraded", json::Value::boolean(pr.degraded));
+    obj.set("stage", json::Value::string(std::string(end.stage)));
+    obj.set("degraded", json::Value::boolean(it->second.degraded));
     obj.set("crashes", json::Value::number(tr.crashes));
     obj.set("retries", json::Value::number(res.retries));
     obj.set("fallbacks", json::Value::number(res.fallbacks));
@@ -842,31 +835,42 @@ void Server::on_result(const proc::TaskResult& tr) {
     obj.set("pvb_nm2", json::Value::number(static_cast<double>(res.pvb_nm2)));
     obj.set("runtime_s", json::Value::number(res.runtime_s));
     obj.set("wall_s", json::Value::number(wall_s));
-    obj.set("trace", json::Value::string(hex_id(pr.trace_id)));
+    obj.set("trace", json::Value::string(hex_id(it->second.trace_id)));
     if (!res.ok()) obj.set("error", json::Value::string(res.error));
-    body = obj.dump();
+    end.body = obj.dump();
   }
+  complete(it, wall_s, std::move(end));
+}
+
+void Server::fail_all_pending(int http_code, const std::string& error) {
+  while (!pending_.empty()) {
+    const auto it = pending_.begin();
+    Ending end;
+    end.http = http_code;
+    end.code = StatusCode::kCancelled;
+    end.body = error_body(it->first, error, end.code);
+    complete(it, net::now_s() - it->second.submit_s, std::move(end));
+  }
+}
+
+void Server::complete(std::map<std::string, PendingReq>::iterator it,
+                      double wall_s, Ending end) {
+  const std::string id = it->first;
+  const PendingReq pr = std::move(it->second);
+  pending_.erase(it);
+  ::unlink(pr.spool_path.c_str());
 
   ++completed_;
-  obs::counter(http < 400 ? "serve.requests.ok" : "serve.requests.error").inc();
+  obs::counter(end.http < 400 ? "serve.requests.ok" : "serve.requests.error")
+      .inc();
   if (obs::metrics_enabled()) {
     obs::histogram("serve.request_s", obs::time_buckets()).observe(wall_s);
-    if (decoded) {
-      // The supervisor owns the fleet-visible stage histograms; the worker
-      // ships raw seconds and records trace-only spans (no double count).
-      obs::histogram("serve.stage.queue_s", obs::time_buckets())
-          .observe(stages.queue_s);
-      obs::histogram("serve.stage.dispatch_s", obs::time_buckets())
-          .observe(stages.dispatch_s);
-      obs::histogram("serve.stage.decode_s", obs::time_buckets())
-          .observe(stages.decode_s);
-      obs::histogram("serve.stage.litho_s", obs::time_buckets())
-          .observe(stages.litho_s);
-      obs::histogram("serve.stage.ilt_s", obs::time_buckets())
-          .observe(stages.ilt_s);
-      obs::histogram("serve.stage.encode_s", obs::time_buckets())
-          .observe(stages.encode_s);
-    }
+    // The supervisor owns the fleet-visible stage histograms; the worker
+    // ships raw seconds and records trace-only spans (no double count).
+    for (std::size_t i = 0; i < end.stage_s.size(); ++i)
+      obs::histogram("serve.stage." + std::string(kStages[i].key) + "_s",
+                     obs::time_buckets())
+          .observe(end.stage_s[i]);
   }
   // The request root span: admission to delivery, recorded explicitly since
   // it crosses many event-loop iterations. Worker spans parent under it.
@@ -877,94 +881,28 @@ void Server::on_result(const proc::TaskResult& tr) {
   }
   if (obs::ledger_enabled()) {
     obs::LedgerRecord rec("request_end");
-    rec.field("id", tr.id)
-        .field("http", http)
-        .field("code", status_code_name(decoded ? res.code
-                                        : tr.cancelled
-                                            ? StatusCode::kCancelled
-                                        : tr.quarantined
-                                            ? StatusCode::kQuarantined
-                                            : StatusCode::kInternal))
-        .field("stage", decoded ? engine::batch_stage_name(res.stage) : "Failed")
-        .field("crashes", tr.crashes)
+    rec.field("id", id)
+        .field("http", end.http)
+        .field("code", status_code_name(end.code))
+        .field("stage", end.stage)
+        .field("crashes", end.crashes)
         .field("degraded", pr.degraded)
         .field("wall_s", wall_s)
         .field("trace", hex_id(pr.trace_id));
-    if (decoded) {
-      rec.field("queue_s", stages.queue_s)
-          .field("dispatch_s", stages.dispatch_s)
-          .field("decode_s", stages.decode_s)
-          .field("litho_s", stages.litho_s)
-          .field("ilt_s", stages.ilt_s)
-          .field("encode_s", stages.encode_s);
-    }
+    for (std::size_t i = 0; i < end.stage_s.size(); ++i)
+      rec.field(std::string(kStages[i].key) + "_s", end.stage_s[i]);
     obs::ledger_emit(rec);
   }
 
-  std::vector<std::pair<std::string, std::string>> extra;
-  extra.emplace_back("X-Ganopc-Trace", hex_id(pr.trace_id));
-  if (decoded) {
-    extra.emplace_back("X-Ganopc-Stage-Queue-S", format_seconds(stages.queue_s));
-    extra.emplace_back("X-Ganopc-Stage-Dispatch-S",
-                       format_seconds(stages.dispatch_s));
-    extra.emplace_back("X-Ganopc-Stage-Decode-S",
-                       format_seconds(stages.decode_s));
-    extra.emplace_back("X-Ganopc-Stage-Litho-S", format_seconds(stages.litho_s));
-    extra.emplace_back("X-Ganopc-Stage-Ilt-S", format_seconds(stages.ilt_s));
-    extra.emplace_back("X-Ganopc-Stage-Encode-S",
-                       format_seconds(stages.encode_s));
-  }
-  if (decoded && pr.want_mask && http == 200 && !mask_pgm.empty()) {
-    extra.emplace_back("X-Ganopc-Id", tr.id);
-    extra.emplace_back("X-Ganopc-Stage", engine::batch_stage_name(res.stage));
-    extra.emplace_back("X-Ganopc-L2-Nm2", std::to_string(res.l2_nm2));
-    extra.emplace_back("X-Ganopc-Crashes", std::to_string(tr.crashes));
-    deliver(pr, 200, mask_pgm, "image/x-portable-graymap", extra);
-  } else {
-    deliver(pr, http, body, "application/json", extra);
-  }
-}
-
-void Server::deliver(
-    const PendingReq& pr, int code, const std::string& body,
-    std::string_view content_type,
-    const std::vector<std::pair<std::string, std::string>>& extra) {
-  const auto it = conns_.find(pr.conn_fd);
-  if (it == conns_.end() || it->second.serial != pr.conn_serial)
+  const auto conn = conns_.find(pr.conn_fd);
+  if (conn == conns_.end() || conn->second.serial != pr.conn_serial)
     return;  // the client hung up; the ledger already has the outcome
-  Conn& conn = it->second;
-  conn.out = http_response(code, body, content_type, extra,
-                           conn.close_after_flush);
-  conn.out_off = 0;
-  conn.awaiting_result = false;
-  conn.io_deadline_s = net::now_s() + serve_.write_timeout_s;
-  flush_conn(conn);
-}
-
-void Server::fail_all_pending(int http_code, const std::string& error) {
-  std::vector<std::string> ids;
-  ids.reserve(pending_.size());
-  for (const auto& [id, pr] : pending_) ids.push_back(id);
-  for (const std::string& id : ids) {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) continue;
-    const PendingReq pr = std::move(it->second);
-    pending_.erase(it);
-    ::unlink(pr.spool_path.c_str());
-    ++completed_;
-    obs::counter("serve.requests.error").inc();
-    if (obs::ledger_enabled()) {
-      obs::LedgerRecord rec("request_end");
-      rec.field("id", id)
-          .field("http", http_code)
-          .field("code", status_code_name(StatusCode::kCancelled))
-          .field("stage", "Failed")
-          .field("wall_s", net::now_s() - pr.submit_s);
-      obs::ledger_emit(rec);
-    }
-    deliver(pr, http_code, error_body(id, error, StatusCode::kCancelled),
-            "application/json", {});
-  }
+  Headers headers = {{"X-Ganopc-Trace", hex_id(pr.trace_id)}};
+  for (std::size_t i = 0; i < end.stage_s.size(); ++i)
+    headers.emplace_back(stage_header(kStages[i].key),
+                         format_seconds(end.stage_s[i]));
+  headers.insert(headers.end(), end.headers.begin(), end.headers.end());
+  respond(conn->second, end.http, end.body, end.content_type, headers);
 }
 
 // ---------------------------------------------------------- breaker / drain

@@ -34,9 +34,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.hpp"
 #include "engine/engine.hpp"
 #include "proc/supervisor.hpp"
 #include "serve/http.hpp"
@@ -109,6 +112,8 @@ class Server {
     bool slow_trickle = false;     ///< serve.slow_client failpoint
   };
 
+  using Headers = std::vector<std::pair<std::string, std::string>>;
+
   struct PendingReq {
     int conn_fd = -1;
     std::uint64_t conn_serial = 0;
@@ -120,6 +125,18 @@ class Server {
     std::uint64_t trace_id = 0;  ///< minted at admission (DESIGN.md §16)
     std::uint64_t span_id = 0;   ///< the request root span
     std::uint64_t admit_ns = 0;  ///< obs::monotonic_ns() at admission
+  };
+
+  /// How an admitted request ended: the answer and what the ledger records.
+  struct Ending {
+    int http = 500;
+    StatusCode code = StatusCode::kInternal;
+    std::string_view stage = "Failed";  ///< rung that answered
+    int crashes = 0;
+    std::span<const double> stage_s;    ///< per-stage seconds, if the worker sent them
+    std::string body;
+    std::string_view content_type = "application/json";
+    Headers headers;  ///< after the trace and stage headers
   };
 
   void setup_listener();
@@ -137,14 +154,17 @@ class Server {
   void handle_optimize(Conn& conn, const HttpRequest& req);
   void respond(Conn& conn, int code, const std::string& body,
                std::string_view content_type = "application/json",
-               const std::vector<std::pair<std::string, std::string>>& extra = {});
+               const Headers& extra = {});
   void on_result(const proc::TaskResult& result);
-  void deliver(const PendingReq& req, int code, const std::string& body,
-               std::string_view content_type,
-               const std::vector<std::pair<std::string, std::string>>& extra);
+  void fail_all_pending(int http_code, const std::string& error);
+  /// The one path that ends an admitted request: unlinks its spool file,
+  /// counts it, records serve.request_s, the stage histograms, the
+  /// serve.request root span and the request_end ledger event, then
+  /// answers the client if it is still connected (DESIGN.md §14.3).
+  void complete(std::map<std::string, PendingReq>::iterator it, double wall_s,
+                Ending end);
   void observe_deaths();
   void begin_drain();
-  void fail_all_pending(int http_code, const std::string& error);
 
   bool breaker_open(double now) const;
   std::size_t queued_depth() const;

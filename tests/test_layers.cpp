@@ -71,61 +71,6 @@ TEST(TanhLayer, GradCheck) {
   check_layer_gradients(t, random_tensor({1, 2, 3, 3}, rng), rng);
 }
 
-TEST(AvgPoolLayer, ForwardAverages) {
-  AvgPool2d pool(2);
-  Tensor x({1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor y = pool.forward(x);
-  EXPECT_EQ(y.numel(), 1);
-  EXPECT_FLOAT_EQ(y[0], 2.5f);
-}
-
-TEST(AvgPoolLayer, RejectsIndivisible) {
-  AvgPool2d pool(3);
-  Tensor x({1, 1, 4, 4});
-  EXPECT_THROW(pool.forward(x), Error);
-}
-
-TEST(AvgPoolLayer, GradCheck) {
-  Prng rng(5);
-  AvgPool2d pool(2);
-  check_layer_gradients(pool, random_tensor({2, 2, 4, 4}, rng), rng);
-}
-
-TEST(MaxPoolLayer, ForwardPicksMax) {
-  MaxPool2d pool(2);
-  Tensor x({1, 1, 2, 2}, {1, 7, 3, 4});
-  Tensor y = pool.forward(x);
-  EXPECT_EQ(y.numel(), 1);
-  EXPECT_FLOAT_EQ(y[0], 7.0f);
-}
-
-TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
-  MaxPool2d pool(2);
-  Tensor x({1, 1, 2, 2}, {1, 7, 3, 4});
-  pool.forward(x);
-  Tensor g({1, 1, 1, 1}, {5.0f});
-  Tensor gi = pool.backward(g);
-  EXPECT_FLOAT_EQ(gi[0], 0.0f);
-  EXPECT_FLOAT_EQ(gi[1], 5.0f);
-  EXPECT_FLOAT_EQ(gi[2], 0.0f);
-}
-
-TEST(MaxPoolLayer, GradCheck) {
-  Prng rng(15);
-  MaxPool2d pool(2);
-  // Ties break gradient checking; use well-separated random values.
-  Tensor x({2, 2, 4, 4});
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(i % 7) + 0.1f * static_cast<float>(rng.uniform(0, 1));
-  check_layer_gradients(pool, x, rng);
-}
-
-TEST(MaxPoolLayer, RejectsIndivisible) {
-  MaxPool2d pool(3);
-  Tensor x({1, 1, 4, 4});
-  EXPECT_THROW(pool.forward(x), Error);
-}
-
 TEST(DropoutLayer, EvalIsIdentity) {
   Dropout drop(0.5f, 1);
   drop.set_training(false);

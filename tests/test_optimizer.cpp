@@ -16,39 +16,6 @@ struct ParamBox {
   Param param() { return {"w", &value, &grad}; }
 };
 
-TEST(Sgd, PlainStep) {
-  ParamBox box;
-  box.value[0] = 1.0f;
-  box.grad[0] = 0.5f;
-  Sgd opt({box.param()}, 0.1f);
-  opt.step();
-  EXPECT_FLOAT_EQ(box.value[0], 1.0f - 0.1f * 0.5f);
-  EXPECT_FLOAT_EQ(box.grad[0], 0.0f);  // grads cleared after step
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  ParamBox box;
-  Sgd opt({box.param()}, 1.0f, 0.9f);
-  box.grad[0] = 1.0f;
-  opt.step();
-  EXPECT_FLOAT_EQ(box.value[0], -1.0f);  // v=1
-  box.grad[0] = 1.0f;
-  opt.step();
-  EXPECT_FLOAT_EQ(box.value[0], -1.0f - 1.9f);  // v=0.9+1
-}
-
-TEST(Sgd, MinimizesQuadratic) {
-  // f(w) = (w - 3)^2; grad = 2(w - 3).
-  ParamBox box;
-  box.value[0] = 0.0f;
-  Sgd opt({box.param()}, 0.1f, 0.5f);
-  for (int i = 0; i < 100; ++i) {
-    box.grad[0] = 2.0f * (box.value[0] - 3.0f);
-    opt.step();
-  }
-  EXPECT_NEAR(box.value[0], 3.0f, 1e-3f);
-}
-
 TEST(Adam, FirstStepIsLrSized) {
   ParamBox box;
   box.grad[0] = 123.0f;  // Adam normalizes magnitude away on step 1
@@ -132,28 +99,28 @@ TEST(LrSchedule, RejectsBadArgs) {
   EXPECT_THROW(LrSchedule::cosine(0.1f, 100, 0.2f), Error);
 }
 
-TEST(Optimizer, ZeroGrad) {
+TEST(Adam, ZeroGrad) {
   ParamBox box;
   box.grad[0] = 7.0f;
-  Sgd opt({box.param()}, 0.1f);
+  Adam opt({box.param()}, 0.1f);
   opt.zero_grad();
   EXPECT_FLOAT_EQ(box.grad[0], 0.0f);
 }
 
-TEST(Optimizer, ClipGradNorm) {
+TEST(Adam, ClipGradNorm) {
   ParamBox a, b;
   a.grad[0] = 3.0f;
   b.grad[0] = 4.0f;  // norm 5
-  Sgd opt({a.param(), b.param()}, 0.1f);
+  Adam opt({a.param(), b.param()}, 0.1f);
   const float pre = opt.clip_grad_norm(1.0f);
   EXPECT_FLOAT_EQ(pre, 5.0f);
   EXPECT_NEAR(std::hypot(a.grad[0], b.grad[0]), 1.0f, 1e-5f);
 }
 
-TEST(Optimizer, ClipNoopBelowMax) {
+TEST(Adam, ClipNoopBelowMax) {
   ParamBox a;
   a.grad[0] = 0.5f;
-  Sgd opt({a.param()}, 0.1f);
+  Adam opt({a.param()}, 0.1f);
   opt.clip_grad_norm(1.0f);
   EXPECT_FLOAT_EQ(a.grad[0], 0.5f);
 }

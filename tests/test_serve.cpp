@@ -22,12 +22,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "geometry/layout.hpp"
 #include "obs/ledger.hpp"
 
@@ -317,15 +319,51 @@ TEST_F(ServeTest, FleetMetricsStageHeadersAndTraceCrossTheWorkerBoundary) {
     ++traced_spans;
   EXPECT_GE(traced_spans, 3u) << "request root + worker spans expected";
 
-  // request_end ledger rows carry the per-stage seconds.
+  // Every sink reports the same stage seconds: the request_end ledger row
+  // matches the response headers (printed at %.6f), and /metrics carries
+  // each stage histogram.
   const obs::LedgerFile lf = obs::read_ledger(path("serve.jsonl"));
-  bool saw_stages = false;
+  const json::Value* end = nullptr;
   for (const auto& ev : lf.events)
     if (ev.string_or("type", "") == "request_end" &&
-        ev.find("litho_s") != nullptr && ev.find("queue_s") != nullptr &&
-        ev.string_or("trace", "") != "")
-      saw_stages = true;
-  EXPECT_TRUE(saw_stages);
+        ev.string_or("id", "") == "traced_a")
+      end = &ev;
+  ASSERT_NE(end, nullptr);
+  EXPECT_EQ(end->string_or("trace", ""), trace_hex);
+  const std::pair<const char*, const char*> stages[] = {
+      {"queue", "Queue"}, {"dispatch", "Dispatch"}, {"decode", "Decode"},
+      {"litho", "Litho"}, {"ilt", "Ilt"},           {"encode", "Encode"}};
+  for (const auto& [key, header] : stages) {
+    const std::string field = std::string(key) + "_s";
+    ASSERT_NE(end->find(field), nullptr) << field;
+    const std::string h = header_of(opt, std::string("X-Ganopc-Stage-") + header + "-S");
+    ASSERT_FALSE(h.empty()) << header;
+    EXPECT_NEAR(end->number_or(field, -1.0), std::atof(h.c_str()), 1e-6) << key;
+    EXPECT_GE(prom_value(m2, "ganopc_serve_stage_" + field + "_count"), 1.0) << key;
+  }
+}
+
+// The litho stage sums the outermost litho entry points only; litho.aerial
+// (nested in simulate and pv_band) and simulate_batch (wrapping simulate)
+// must not count the same seconds twice.
+TEST_F(ServeTest, LithoStageIsTheSumOfTheOutermostLithoSpans) {
+  start_daemon("--workers 1");
+  const std::string opt = transact(optimize_request("litho_a", 0));
+  ASSERT_EQ(status_of(opt), "200") << opt << daemon_log();
+  const std::string litho = header_of(opt, "X-Ganopc-Stage-Litho-S");
+  ASSERT_FALSE(litho.empty()) << opt;
+
+  const std::string metrics = transact(get_request("/metrics"));
+  double sum = 0.0;
+  for (const char* span : {"simulate", "forward_relaxed", "gradient", "pv_band"})
+    sum += std::max(0.0, prom_value(metrics, std::string("ganopc_litho_") + span +
+                                                 "_seconds_sum"));
+  EXPECT_GT(sum, 0.0) << metrics;
+  EXPECT_NEAR(std::atof(litho.c_str()), sum, 1e-5) << metrics;
+
+  const int status = stop_daemon();
+  ASSERT_TRUE(WIFEXITED(status)) << daemon_log();
+  EXPECT_EQ(WEXITSTATUS(status), 0) << daemon_log();
 }
 
 TEST_F(ServeTest, HostileClientsGetTypedErrorsAndTheDaemonSurvives) {
@@ -510,6 +548,34 @@ TEST_F(ServeTest, SigtermUnderLoadDrainsEveryAdmittedRequestAndExitsZero) {
   EXPECT_EQ(starts, 2);
   EXPECT_EQ(ends, 2);
   EXPECT_EQ(drains, 1);
+}
+
+// A request still running when the drain grace runs out is ended by the
+// daemon, not by its worker, and keeps its trace on every sink.
+TEST_F(ServeTest, DrainGraceExpiryEndsAHungRequestWithItsTrace) {
+  start_daemon("--workers 1 --drain-grace-s 1", "proc.clip_fault:0:-1");
+  const int fd = send_optimize("stuck_hang", 0, "?deadline_s=30");
+  ::usleep(300 * 1000);  // let it reach the worker
+  const int status = stop_daemon();
+  ASSERT_TRUE(WIFEXITED(status)) << daemon_log();
+  EXPECT_EQ(WEXITSTATUS(status), 0) << daemon_log();
+
+  const std::string resp = read_response(fd);
+  EXPECT_EQ(status_of(resp), "504") << resp << daemon_log();
+  const std::string trace_hex = header_of(resp, "X-Ganopc-Trace");
+  EXPECT_FALSE(trace_hex.empty()) << resp;
+
+  const obs::LedgerFile lf = obs::read_ledger(path("serve.jsonl"));
+  int ends = 0;
+  for (const auto& ev : lf.events) {
+    if (ev.string_or("type", "") != "request_end") continue;
+    ++ends;
+    EXPECT_EQ(ev.string_or("id", ""), "stuck_hang");
+    EXPECT_EQ(ev.number_or("http", 0.0), 504.0);
+    EXPECT_NE(ev.string_or("trace", ""), "");
+    EXPECT_EQ(ev.string_or("trace", ""), trace_hex);
+  }
+  EXPECT_EQ(ends, 1);
 }
 
 }  // namespace

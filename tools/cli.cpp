@@ -69,8 +69,8 @@
 //                        dumps FILE.crash.json on watchdog/fatal exits
 // all default-off; enabling them costs one atomic flag check per site.
 // `report` diffs a baseline BENCH_*.json (and/or ledger) pair against a
-// current one and exits 0/4 on the PASS/FAIL regression verdict — the same
-// verdict CI's regress-gate computes via tools/obs_diff.
+// current one and exits 0/4 on the PASS/FAIL regression verdict; CI's
+// regress-gate, supervised-ledger and trace-overhead gates all run it.
 #include <atomic>
 #include <csignal>
 #include <cstdio>

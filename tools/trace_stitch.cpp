@@ -23,7 +23,7 @@
 // than --expect-remote spans recorded by a *different* process than the
 // root are reachable from request roots — i.e. it proves worker spans
 // really stitched under supervisor requests. Exit codes: 0 ok, 4 check
-// failed, 2 usage, 1 I/O or parse error (matching obs_diff).
+// failed, 2 usage, 1 I/O or parse error (0/4 as in `ganopc report`).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
