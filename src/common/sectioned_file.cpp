@@ -163,14 +163,4 @@ ByteReader SectionedFileReader::open(const std::string& name) const {
   return ByteReader(nullptr, 0, "");
 }
 
-bool SectionedFileReader::magic_matches(const std::string& path, const std::string& magic) {
-  GANOPC_CHECK_MSG(magic.size() == kMagicLen, "section container magic must be 8 bytes");
-  std::ifstream in(path, std::ios::binary);
-  GANOPC_CHECK_MSG(in.good(), "cannot open " << path);
-  char head[kMagicLen] = {};
-  in.read(head, kMagicLen);
-  return in.gcount() == static_cast<std::streamsize>(kMagicLen) &&
-         std::memcmp(head, magic.data(), kMagicLen) == 0;
-}
-
 }  // namespace ganopc

@@ -15,8 +15,9 @@
 // Writes go through atomic_write_file, so a crash mid-save never clobbers a
 // previously-good file.
 //
-// This container backs the GOPCNET2 checkpoint format and the GOPCDST2
-// dataset cache.
+// This container backs the GOPCNET2 weights and trainer checkpoints
+// (nn/serialize, core/checkpoint), the GOPCDST2 dataset cache
+// (core/dataset) and the GOPCBAT1 batch journal (engine/batch_runner).
 #pragma once
 
 #include <cstdint>
@@ -104,10 +105,6 @@ class SectionedFileReader {
 
   /// Bounds-checked reader over the (already CRC-verified) payload.
   ByteReader open(const std::string& name) const;
-
-  /// True when the first 8 bytes of `path` equal `magic` (format sniffing
-  /// for legacy fallbacks). Throws only if the file cannot be read at all.
-  static bool magic_matches(const std::string& path, const std::string& magic);
 
  private:
   struct Entry {

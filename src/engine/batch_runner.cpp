@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "common/csv.hpp"
@@ -23,6 +24,9 @@ constexpr char kJournalMagic[] = "GOPCBAT1";
 // `workers` is deliberately *not* journaled — a supervised run may be resumed
 // sequentially or with a different worker count and replay identically.
 constexpr std::uint32_t kJournalVersion = 2;
+
+constexpr char kDrainedError[] =
+    "cancelled: batch drain requested before this clip started";
 
 bool file_exists(const std::string& path) {
   return std::ifstream(path, std::ios::binary).good();
@@ -58,6 +62,19 @@ void count_manifest_row(const BatchClipResult& res) {
     obs::counter("batch.clips.quarantined").inc();
   if (res.code == StatusCode::kCancelled)
     obs::counter("batch.clips.cancelled").inc();
+}
+
+// The one way a row that never reached Engine::submit is built: drain
+// cancellations, quarantined poison clips and pool dispatch errors.
+BatchClipResult failed_row(const BatchClip& clip, StatusCode code,
+                           std::string error) {
+  BatchClipResult res;
+  res.id = clip.id;
+  res.source = clip.path.empty() ? "<memory>" : clip.path;
+  res.code = code;
+  res.error = std::move(error);
+  res.stage = BatchStage::Failed;
+  return res;
 }
 
 }  // namespace
@@ -100,12 +117,11 @@ BatchSummary BatchRunner::run_files(const std::vector<std::string>& paths) const
 BatchSummary BatchRunner::run(const std::vector<BatchClip>& clips) const {
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, !clips.empty(),
                      "batch: no clips to process");
-  {
-    std::set<std::string> ids;
-    for (const auto& clip : clips)
-      GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, ids.insert(clip.id).second,
-                         "batch: duplicate clip id '" << clip.id << "'");
-  }
+  std::map<std::string, std::size_t> index_of;
+  for (std::size_t i = 0; i < clips.size(); ++i)
+    GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
+                       index_of.emplace(clips[i].id, i).second,
+                       "batch: duplicate clip id '" << clips[i].id << "'");
 
   std::map<std::string, BatchClipResult> prior;
   if (batch_.resume && file_exists(batch_.journal_path))
@@ -116,73 +132,26 @@ BatchSummary BatchRunner::run(const std::vector<BatchClip>& clips) const {
 
   SectionedFileWriter journal{std::string(kJournalMagic)};
   const bool journaling = !batch_.journal_path.empty();
-  if (journaling) write_meta(journal, clips);
-
-  if (batch_.workers > 0) return run_supervised(clips, prior, journal, journaling);
-
-  BatchSummary summary;
-  summary.clips.reserve(clips.size());
-  for (const auto& clip : clips) {
-    BatchClipResult res;
-    const auto it = prior.find(clip.id);
-    if (it != prior.end()) {
-      res = it->second;
-      res.from_journal = true;
-      ++summary.resumed;
-    } else if (batch_.stop != nullptr &&
-               batch_.stop->load(std::memory_order_relaxed)) {
-      // Graceful drain: the remainder becomes kCancelled rows that are NOT
-      // journaled, so a --resume run recomputes exactly the drained clips.
-      summary.drained = true;
-      res.id = clip.id;
-      res.source = clip.path.empty() ? "<memory>" : clip.path;
-      res.code = StatusCode::kCancelled;
-      res.error = "cancelled: batch drain requested before this clip started";
-      res.stage = BatchStage::Failed;
-      ++summary.failed;
-      ++summary.cancelled;
-      if (obs::metrics_enabled()) count_manifest_row(res);
-      summary.clips.push_back(std::move(res));
-      continue;
-    } else {
-      res = process_clip(clip, /*start_rung=*/0);
-    }
-    ++(res.ok() ? summary.succeeded : summary.failed);
-    if (res.code == StatusCode::kQuarantined) ++summary.quarantined;
-    if (obs::metrics_enabled()) count_manifest_row(res);
-    if (journaling) {
-      encode_clip_result(journal.section("clip/" + clip.id), res);
-      journal.write(batch_.journal_path);
-      // Crash simulation for the kill-and-resume robustness test: dies right
-      // after a journal commit, exactly where a real power cut would land.
-      if (GANOPC_FAILPOINT("batch.kill")) {
-#ifdef SIGKILL
-        std::raise(SIGKILL);
-#endif
-        std::abort();
-      }
-    }
-    summary.clips.push_back(std::move(res));
+  if (journaling) {
+    write_meta(journal.section("meta"), clips);
+    // Commit the identity up front so even a run drained before its first
+    // row leaves a resumable journal. A replayed journal already exists and
+    // keeps its rows until they are re-journaled below.
+    if (prior.empty()) journal.write(batch_.journal_path);
   }
-  return summary;
-}
 
-BatchSummary BatchRunner::run_supervised(
-    const std::vector<BatchClip>& clips,
-    const std::map<std::string, BatchClipResult>& prior,
-    SectionedFileWriter& journal, bool journaling) const {
+  // Every row, however it was produced, ends here: stored at its input
+  // position, then journaled unless it is a drain cancellation (a --resume
+  // recomputes exactly those). Rows are journaled in the order they finish,
+  // so a supervised journal lists replays first, then completion order.
   std::vector<BatchClipResult> rows(clips.size());
-  std::vector<char> have(clips.size(), 0);
-  std::map<std::string, std::size_t> index_of;
-  for (std::size_t i = 0; i < clips.size(); ++i) index_of.emplace(clips[i].id, i);
-
-  BatchSummary summary;
-  auto journal_row = [&](const std::string& id, const BatchClipResult& res) {
-    if (!journaling) return;
-    encode_clip_result(journal.section("clip/" + id), res);
+  auto finish = [&](std::size_t i, BatchClipResult res) {
+    rows[i] = std::move(res);
+    if (!journaling || rows[i].code == StatusCode::kCancelled) return;
+    encode_clip_result(journal.section("clip/" + clips[i].id), rows[i]);
     journal.write(batch_.journal_path);
-    // Same post-commit crash point as the sequential path: the supervised
-    // kill-and-resume test SIGKILLs the *dispatcher* here, mid-fan-out.
+    // Crash simulation for the kill-and-resume robustness tests: dies right
+    // after a journal commit, exactly where a real power cut would land.
     if (GANOPC_FAILPOINT("batch.kill")) {
 #ifdef SIGKILL
       std::raise(SIGKILL);
@@ -191,27 +160,32 @@ BatchSummary BatchRunner::run_supervised(
     }
   };
 
-  // Replay journaled rows first, then fan the remainder out to the workers.
-  // The payload is just the clip index: workers are fork() twins of this
-  // process and share the clip list (and the Engine session) by inheritance.
+  // A journaled row is finished at once. A missing one is computed in place,
+  // or — supervised — queued for the pool with its clip index as payload:
+  // workers are fork() twins of this process and share the clip list (and
+  // the Engine session) by inheritance.
   std::vector<proc::Task> tasks;
   for (std::size_t i = 0; i < clips.size(); ++i) {
     const auto it = prior.find(clips[i].id);
     if (it != prior.end()) {
-      rows[i] = it->second;
-      rows[i].from_journal = true;
-      have[i] = 1;
-      ++summary.resumed;
-      journal_row(clips[i].id, rows[i]);
-    } else {
+      BatchClipResult res = it->second;
+      res.from_journal = true;
+      finish(i, std::move(res));
+    } else if (batch_.workers > 0) {
       proc::Task task;
       task.id = clips[i].id;
       const auto idx = static_cast<std::uint32_t>(i);
       task.payload.assign(reinterpret_cast<const char*>(&idx), sizeof idx);
       tasks.push_back(std::move(task));
+    } else if (batch_.stop != nullptr &&
+               batch_.stop->load(std::memory_order_relaxed)) {
+      finish(i, failed_row(clips[i], StatusCode::kCancelled, kDrainedError));
+    } else {
+      finish(i, process_clip(clips[i], /*start_rung=*/0));
     }
   }
 
+  BatchSummary summary;
   if (!tasks.empty()) {
     proc::SupervisorConfig scfg;
     scfg.workers = batch_.workers;
@@ -232,6 +206,7 @@ BatchSummary BatchRunner::run_supervised(
           GANOPC_TYPED_CHECK(StatusCode::kInternal, idx < clips.size(),
                              "batch: supervised task index out of range");
           maybe_inject_clip_fault(clips[idx].id, crashes);
+          // Each crash the clip survived drops one rung off its chain.
           const BatchClipResult res = process_clip(clips[idx], crashes);
           ByteWriter w;
           encode_clip_result(w, res);
@@ -240,71 +215,54 @@ BatchSummary BatchRunner::run_supervised(
 
     supervisor.run(tasks, [&](const proc::TaskResult& tr) {
       const std::size_t i = index_of.at(tr.id);
-      BatchClipResult res;
       if (tr.cancelled) {
-        // SIGTERM drain resolved this clip before it was dispatched. The row
-        // is typed but deliberately NOT journaled: --resume recomputes it.
-        summary.drained = true;
-        res.id = clips[i].id;
-        res.source = clips[i].path.empty() ? "<memory>" : clips[i].path;
-        res.code = StatusCode::kCancelled;
-        res.error = tr.error;
-        res.stage = BatchStage::Failed;
-        rows[i] = std::move(res);
-        have[i] = 1;
-        return;
-      }
-      if (tr.quarantined) {
-        res.id = clips[i].id;
-        res.source = clips[i].path.empty() ? "<memory>" : clips[i].path;
-        res.code = StatusCode::kQuarantined;
-        res.error = "clip crashed " + std::to_string(tr.crashes) +
-                    " worker process(es); quarantined as a poison clip";
-        res.stage = BatchStage::Failed;
+        finish(i, failed_row(clips[i], StatusCode::kCancelled, kDrainedError));
+      } else if (tr.quarantined) {
         if (obs::ledger_enabled()) {
           obs::LedgerRecord rec("clip_quarantined");
-          rec.field("clip", res.id).field("crashes", tr.crashes);
+          rec.field("clip", tr.id).field("crashes", tr.crashes);
           obs::ledger_emit(rec);
         }
+        finish(i, failed_row(clips[i], StatusCode::kQuarantined,
+                             "clip crashed " + std::to_string(tr.crashes) +
+                                 " worker process(es); quarantined as a "
+                                 "poison clip"));
       } else if (!tr.error.empty()) {
         // The worker fn maps per-clip faults to Status rows itself; an error
         // marshalled back here means the dispatch machinery failed.
-        res.id = clips[i].id;
-        res.source = clips[i].path.empty() ? "<memory>" : clips[i].path;
-        res.code = StatusCode::kInternal;
-        res.error = tr.error;
-        res.stage = BatchStage::Failed;
+        finish(i, failed_row(clips[i], StatusCode::kInternal, tr.error));
       } else {
         ByteReader r(tr.payload.data(), tr.payload.size(),
                      "supervised result for clip '" + tr.id + "'");
-        res = decode_clip_result(r, tr.id, "supervised result for '" + tr.id + "'");
+        BatchClipResult res =
+            decode_clip_result(r, tr.id, "supervised result for '" + tr.id + "'");
         r.expect_exhausted();
+        finish(i, std::move(res));
       }
-      rows[i] = std::move(res);
-      have[i] = 1;
-      journal_row(clips[i].id, rows[i]);
     });
     summary.worker_deaths = static_cast<int>(supervisor.crash_reports().size());
   }
 
-  for (std::size_t i = 0; i < clips.size(); ++i) {
-    GANOPC_TYPED_CHECK(StatusCode::kInternal, have[i] != 0,
-                       "batch: no supervised result for clip '" << clips[i].id
-                                                                << "'");
-    ++(rows[i].ok() ? summary.succeeded : summary.failed);
-    if (rows[i].code == StatusCode::kQuarantined) ++summary.quarantined;
-    if (rows[i].code == StatusCode::kCancelled) ++summary.cancelled;
-    if (obs::metrics_enabled()) count_manifest_row(rows[i]);
-    summary.clips.push_back(std::move(rows[i]));
+  for (auto& res : rows) {
+    ++(res.ok() ? summary.succeeded : summary.failed);
+    if (res.from_journal) ++summary.resumed;
+    if (res.code == StatusCode::kQuarantined) ++summary.quarantined;
+    if (res.code == StatusCode::kCancelled) {
+      ++summary.cancelled;
+      summary.drained = true;
+    }
+    if (obs::metrics_enabled()) count_manifest_row(res);
+    summary.clips.push_back(std::move(res));
   }
   return summary;
 }
 
-void BatchRunner::write_meta(SectionedFileWriter& journal,
+void BatchRunner::write_meta(ByteWriter& w,
                              const std::vector<BatchClip>& clips) const {
+  // `workers` is deliberately absent (see kJournalVersion); quarantine_kills
+  // is present because it shapes quarantined rows.
   const SubmitPolicy& policy = engine_.policy();
   const core::GanOpcConfig& config = engine_.config();
-  ByteWriter& w = journal.section("meta");
   w.pod(kJournalVersion);
   w.pod(policy.seed);
   w.pod(policy.clip_deadline_s);
@@ -324,34 +282,18 @@ void BatchRunner::write_meta(SectionedFileWriter& journal,
 
 std::vector<BatchClipResult> BatchRunner::load_journal(
     const std::vector<BatchClip>& clips) const {
-  const SubmitPolicy& policy = engine_.policy();
-  const core::GanOpcConfig& config = engine_.config();
   const SectionedFileReader reader(batch_.journal_path, kJournalMagic);
   ByteReader meta = reader.open("meta");
   const auto version = meta.pod<std::uint32_t>();
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, version == kJournalVersion,
                      "batch journal '" << batch_.journal_path
                                        << "': unsupported version " << version);
-  bool match = meta.pod<std::uint64_t>() == policy.seed;
-  match &= meta.pod<double>() == policy.clip_deadline_s;
-  match &= meta.pod<std::int32_t>() == policy.max_retries;
-  match &= (meta.pod<std::uint8_t>() != 0) == policy.allow_fallback;
-  match &= meta.pod<float>() == policy.l2_accept_factor;
-  match &= meta.pod<float>() == policy.perturb_amplitude;
-  match &= (meta.pod<std::uint8_t>() != 0) == batch_.deterministic_manifest;
-  // quarantine_kills shapes quarantined rows, so it must match; `workers`
-  // deliberately does not — resuming with a different pool size (or
-  // sequentially) replays the same journal.
-  match &= meta.pod<std::int32_t>() == batch_.quarantine_kills;
-  match &= (meta.pod<std::uint8_t>() != 0) == (engine_.generator() != nullptr);
-  match &= meta.pod<std::int32_t>() == config.clip_nm;
-  match &= meta.pod<std::int32_t>() == config.litho_grid;
-  match &= meta.pod<std::int32_t>() == config.ilt.max_iterations;
-  const auto count = meta.pod<std::uint32_t>();
-  match &= count == clips.size();
-  if (match)
-    for (const auto& clip : clips) match &= meta.str() == clip.id;
-  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, match,
+  std::string stored(meta.remaining(), '\0');
+  meta.bytes(stored.data(), stored.size());
+  ByteWriter expected;
+  write_meta(expected, clips);
+  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
+                     stored == expected.buffer().substr(sizeof version),
                      "batch journal '"
                          << batch_.journal_path
                          << "' was written by a different batch (clips or "

@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,7 @@
 #include "engine/result.hpp"
 
 namespace ganopc {
-class SectionedFileWriter;
+class ByteWriter;
 }
 
 namespace ganopc::engine {
@@ -98,14 +97,11 @@ class BatchRunner {
   static void write_manifest(const std::string& path, const BatchSummary& summary);
 
  private:
-  BatchSummary run_supervised(const std::vector<BatchClip>& clips,
-                              const std::map<std::string, BatchClipResult>& prior,
-                              SectionedFileWriter& journal, bool journaling) const;
   /// Engine::submit + the batch-level runtime zeroing.
   BatchClipResult process_clip(const BatchClip& clip, int start_rung) const;
 
-  void write_meta(SectionedFileWriter& journal,
-                  const std::vector<BatchClip>& clips) const;
+  /// The journal's `meta` payload: the batch identity a resume must match.
+  void write_meta(ByteWriter& w, const std::vector<BatchClip>& clips) const;
   std::vector<BatchClipResult> load_journal(const std::vector<BatchClip>& clips) const;
 
   const Engine& engine_;

@@ -143,20 +143,6 @@ void fft_1d(std::vector<cfloat>& data, bool inverse) {
   active_fft()(data.data(), plan_for(data.size()), inverse);
 }
 
-void fft_1d_strided(cfloat* data, std::size_t n, std::size_t stride, bool inverse) {
-  GANOPC_CHECK_MSG(is_pow2(n), "FFT size must be a power of two");
-  const FftPlan& plan = plan_for(n);
-  const FftInplaceFn kernel = active_fft();
-  if (stride == 1) {
-    kernel(data, plan, inverse);
-    return;
-  }
-  std::vector<cfloat> tmp(n);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = data[i * stride];
-  kernel(tmp.data(), plan, inverse);
-  for (std::size_t i = 0; i < n; ++i) data[i * stride] = tmp[i];
-}
-
 void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
   // Rows: note we do NOT apply 1/N scaling per axis separately; the butterfly

@@ -25,9 +25,6 @@ std::size_t next_pow2(std::size_t n);
 /// In-place 1-D FFT of length n = data.size(). Requires power-of-two size.
 void fft_1d(std::vector<cfloat>& data, bool inverse);
 
-/// In-place 1-D FFT over a raw strided span (n elements, given stride).
-void fft_1d_strided(cfloat* data, std::size_t n, std::size_t stride, bool inverse);
-
 /// In-place 2-D FFT of a row-major height x width grid. Power-of-two dims.
 /// Parallelized over rows/columns via the shared thread pool.
 void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse);

@@ -1,7 +1,6 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -45,43 +44,6 @@ void read_floats(ByteReader& r, Tensor& into, const std::string& what) {
   GANOPC_CHECK_MSG(r.remaining() >= static_cast<std::size_t>(into.numel()) * sizeof(float),
                    "truncated " << what << ": tensor data cut short");
   r.bytes(into.data(), static_cast<std::size_t>(into.numel()) * sizeof(float));
-}
-
-// Legacy GOPCNET1: magic, u64 count, per param u64 name_len | name |
-// u64 ndim | i64 dims | f32 data. No CRC — bounds checks are the only
-// defense, which is why every field is validated before use.
-void load_parameters_v1(Layer& net, const std::string& path) {
-  GANOPC_WARN("loading legacy GOPCNET1 checkpoint " << path
-              << " (no CRC, no batch-norm buffers; re-save to upgrade)");
-  std::ifstream in(path, std::ios::binary);
-  GANOPC_CHECK_MSG(in.good(), "cannot open " << path);
-  std::ostringstream slurp;
-  slurp << in.rdbuf();
-  const std::string data = std::move(slurp).str();
-  ByteReader r(data.data(), data.size(), path);
-
-  char magic[8];
-  r.bytes(magic, sizeof magic);  // caller verified
-  auto params = net.parameters();
-  const auto count = r.pod<std::uint64_t>();
-  GANOPC_CHECK_MSG(count == params.size(),
-                   "checkpoint has " << count << " params, network has " << params.size());
-  for (auto& p : params) {
-    const auto name_len = r.pod<std::uint64_t>();
-    GANOPC_CHECK_MSG(name_len <= kMaxNameLen,
-                     "corrupt " << path << ": implausible name length " << name_len);
-    std::string name(static_cast<std::size_t>(name_len), '\0');
-    r.bytes(name.data(), name.size());
-    GANOPC_CHECK_MSG(name == p.name, "checkpoint param '" << name
-                                      << "' does not match network param '" << p.name << "'");
-    const auto ndim = r.pod<std::uint64_t>();
-    GANOPC_CHECK_MSG(ndim <= kMaxNdim, "corrupt " << path << ": implausible ndim " << ndim);
-    std::vector<std::int64_t> shape(static_cast<std::size_t>(ndim));
-    for (auto& d : shape) d = r.pod<std::int64_t>();
-    GANOPC_CHECK_MSG(shape == p.value->shape(), "checkpoint shape mismatch for " << name);
-    read_floats(r, *p.value, path);
-  }
-  r.expect_exhausted();
 }
 
 }  // namespace
@@ -139,10 +101,6 @@ void save_parameters(Layer& net, const std::string& path) {
 }
 
 void load_parameters(Layer& net, const std::string& path) {
-  if (SectionedFileReader::magic_matches(path, kCheckpointMagicV1)) {
-    load_parameters_v1(net, path);
-    return;
-  }
   const SectionedFileReader file(path, kCheckpointMagicV2);
   // A weights file carries "params"/"buffers"; a full trainer checkpoint
   // (core/checkpoint.cpp) carries the same blobs as "gen_params"/

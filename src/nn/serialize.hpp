@@ -7,9 +7,6 @@
 // and every load path is bounds-checked, so truncated or bit-flipped files
 // raise ganopc::Error instead of yielding zero-filled tensors.
 //
-// Legacy format ("GOPCNET1"): weight-only, no CRC, no buffers. Still
-// readable (with a logged warning); no longer written.
-//
 // Tensor blob framing inside a section, shared with the trainer checkpoint
 // (core/checkpoint.cpp): u32 tensor count, then per tensor
 //   u32 name length | name bytes | u32 ndim | i64 dims... | f32 data...
@@ -25,19 +22,16 @@ namespace ganopc::nn {
 
 /// Magic for the sectioned checkpoint container.
 inline constexpr char kCheckpointMagicV2[] = "GOPCNET2";
-/// Magic of the legacy weight-only format (read-only support).
-inline constexpr char kCheckpointMagicV1[] = "GOPCNET1";
 
 /// Save all parameters and buffers of `net` to `path` (GOPCNET2, atomic).
 /// Throws ganopc::Error on failure; a failed save never corrupts an
 /// existing file at `path`.
 void save_parameters(Layer& net, const std::string& path);
 
-/// Load parameters saved by save_parameters into `net`. Accepts GOPCNET2
-/// (params + buffers) and legacy GOPCNET1 (weights only, logged warning).
-/// Also accepts a full trainer checkpoint (core/checkpoint.cpp), reading
-/// its generator sections. The network must have identical parameter
-/// names / shapes in the same order.
+/// Load parameters saved by save_parameters into `net` (GOPCNET2: params +
+/// buffers). Also accepts a full trainer checkpoint (core/checkpoint.cpp),
+/// reading its generator sections. The network must have identical
+/// parameter names / shapes in the same order.
 void load_parameters(Layer& net, const std::string& path);
 
 // --- tensor blob helpers (reused by the trainer checkpoint) ---

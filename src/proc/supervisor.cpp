@@ -235,8 +235,8 @@ void SupervisorConfig::validate() const {
                      "supervisor: heartbeat timeout must exceed the interval");
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
                      task_deadline_s >= 0.0 && restart_backoff_base_s >= 0.0 &&
-                         restart_backoff_cap_s >= 0.0 && worker_threads >= 0 &&
-                         limits.mem_mb >= 0 && limits.cpu_s >= 0,
+                         restart_backoff_cap_s >= 0.0 && limits.mem_mb >= 0 &&
+                         limits.cpu_s >= 0,
                      "supervisor: deadlines/backoff/limits must be >= 0");
 }
 
@@ -284,11 +284,11 @@ struct Supervisor::Engine {
         on_result(std::move(cb)) {
     parent_ledger = obs::ledger_path();
     metrics = obs::metrics_enabled();
+    // Each worker gets hardware threads / workers (at least 1) so N workers
+    // do not oversubscribe the machine N-fold.
     worker_threads =
-        config.worker_threads > 0
-            ? static_cast<std::size_t>(config.worker_threads)
-            : std::max<std::size_t>(1, ThreadPool::default_thread_count() /
-                                           static_cast<std::size_t>(config.workers));
+        std::max<std::size_t>(1, ThreadPool::default_thread_count() /
+                                     static_cast<std::size_t>(config.workers));
     slots.resize(static_cast<std::size_t>(config.workers));
     for (std::size_t i = 0; i < slots.size(); ++i)
       slots[i].id = static_cast<int>(i);

@@ -71,9 +71,6 @@ struct SupervisorConfig {
   double task_deadline_s = 0.0;        ///< per-task wall cap (0 = none) -> SIGKILL
   double restart_backoff_base_s = 0.05;
   double restart_backoff_cap_s = 2.0;
-  /// Thread-pool size inside each worker (0 = hardware threads / workers,
-  /// at least 1) so N workers do not oversubscribe the machine N-fold.
-  int worker_threads = 0;
   std::uint64_t seed = 1847;  ///< restart-jitter stream
   WorkerLimits limits;
   /// Optional drain flag polled by run(): once it reads true the dispatcher

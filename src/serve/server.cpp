@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "common/atomic_file.hpp"
 #include "common/cpu.hpp"
@@ -144,9 +145,7 @@ std::string format_seconds(double s) {
 }  // namespace
 
 Server::Server(const engine::Engine& engine, ServeConfig serve)
-    : engine_(engine),
-      serve_(std::move(serve)),
-      has_generator_(engine.generator() != nullptr) {
+    : engine_(engine), serve_(std::move(serve)) {
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, serve_.workers >= 1,
                      "serve: workers must be >= 1");
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, serve_.max_queue >= 1,
@@ -218,12 +217,11 @@ std::string Server::worker_entry(const std::string& payload, int crashes) const 
     result.row.code = StatusCode::kDeadlineExceeded;
     result.row.error = "deadline expired before the request reached a worker";
   } else {
-    const int rungs = has_generator_ ? 3 : 2;
-    int start_rung = degraded ? rungs - 1 : 0;
-    start_rung = std::min(start_rung + crashes, rungs - 1);
     engine::SubmitOptions opts;
     opts.deadline_s = remaining_s;
-    opts.start_rung = start_rung;
+    // The engine clamps start_rung to its own chain's last rung (and honours
+    // allow_fallback), so a degraded request simply asks for "the last one".
+    opts.start_rung = degraded ? std::numeric_limits<int>::max() : crashes;
     opts.want_mask = want_mask;
     // Thread the proc-installed request context through SubmitOptions so
     // the engine's spans nest under the proc.task span.

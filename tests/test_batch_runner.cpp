@@ -2,6 +2,7 @@
 // failure reporting and crash-safe journal resume (DESIGN.md §9, §15).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -281,19 +282,127 @@ TEST_F(BatchRunnerTest, ResumeRejectsJournalFromDifferentBatch) {
   const Engine eng(make_options(make_cfg()));
   BatchConfig bcfg;
   bcfg.journal_path = scratch("batch_mismatch.journal");
+  const auto clips = make_clips(2, eng.config().clip_nm);
   const BatchRunner runner(eng, bcfg);
-  runner.run(make_clips(2, eng.config().clip_nm));
-
+  runner.run(clips);
+  const std::string journal = read_bytes(bcfg.journal_path);
   bcfg.resume = true;
-  const BatchRunner resumer(eng, bcfg);
-  auto other = make_clips(2, eng.config().clip_nm);
-  other[1].id = "renamed";
-  try {
-    resumer.run(other);
-    FAIL() << "mismatched journal accepted";
-  } catch (const StatusError& e) {
-    EXPECT_EQ(e.code(), StatusCode::kInvalidInput);
+
+  const auto expect_rejected = [&](const Engine& engine, const BatchConfig& cfg,
+                                   const std::vector<BatchClip>& batch,
+                                   const char* what) {
+    try {
+      BatchRunner(engine, cfg).run(batch);
+      ADD_FAILURE() << "journal accepted despite a changed " << what;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kInvalidInput) << what;
+    }
+    // A rejected resume never touches the journal.
+    EXPECT_EQ(read_bytes(cfg.journal_path), journal) << what;
+  };
+
+  auto renamed = clips;
+  renamed[1].id = "renamed";
+  expect_rejected(eng, bcfg, renamed, "clip id");
+
+  SubmitPolicy retries;
+  retries.max_retries = eng.policy().max_retries + 1;
+  const Engine retry_eng(make_options(make_cfg(), retries));
+  expect_rejected(retry_eng, bcfg, clips, "max_retries");
+
+  BatchConfig det = bcfg;
+  det.deterministic_manifest = !bcfg.deterministic_manifest;
+  expect_rejected(eng, det, clips, "deterministic_manifest");
+
+  BatchConfig kills = bcfg;
+  kills.quarantine_kills = bcfg.quarantine_kills + 1;
+  expect_rejected(eng, kills, clips, "quarantine_kills");
+
+  // The unchanged batch still resumes from the same journal.
+  EXPECT_EQ(BatchRunner(eng, bcfg).run(clips).resumed, 2);
+}
+
+TEST_F(BatchRunnerTest, PoolJournalResumesInProcess) {
+  // `workers` is execution policy, not batch identity: a journal written by
+  // a supervised run replays in process with every row intact.
+  const Engine eng(make_options(make_cfg()));
+  const auto clips = make_clips(3, eng.config().clip_nm);
+  BatchConfig bcfg;
+  bcfg.journal_path = scratch("batch_pool.journal");
+  bcfg.deterministic_manifest = true;
+  bcfg.workers = 2;
+  const BatchSummary pool = BatchRunner(eng, bcfg).run(clips);
+  ASSERT_EQ(pool.succeeded, 3);
+
+  bcfg.workers = 0;
+  bcfg.resume = true;
+  const BatchSummary replay = BatchRunner(eng, bcfg).run(clips);
+  EXPECT_EQ(replay.resumed, 3);
+  EXPECT_EQ(replay.succeeded, 3);
+  const std::string m1 = scratch("batch_pool_1.csv");
+  const std::string m2 = scratch("batch_pool_2.csv");
+  BatchRunner::write_manifest(m1, pool);
+  BatchRunner::write_manifest(m2, replay);
+  EXPECT_EQ(read_bytes(m2), read_bytes(m1));
+}
+
+TEST_F(BatchRunnerTest, DrainBeforeFirstClipCancelsEveryRowInBothModes) {
+  const Engine eng(make_options(make_cfg()));
+  const auto clips = make_clips(3, eng.config().clip_nm);
+  BatchConfig plain;
+  plain.deterministic_manifest = true;
+  const std::string reference = scratch("batch_drain_ref.csv");
+  BatchRunner::write_manifest(reference, BatchRunner(eng, plain).run(clips));
+
+  std::vector<BatchSummary> drained;
+  for (const int workers : {0, 2}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const std::atomic<bool> stop{true};
+    BatchConfig bcfg = plain;
+    bcfg.workers = workers;
+    bcfg.journal_path =
+        scratch("batch_drain_w" + std::to_string(workers) + ".journal");
+    bcfg.stop = &stop;
+    const BatchSummary s = BatchRunner(eng, bcfg).run(clips);
+    EXPECT_TRUE(s.drained);
+    EXPECT_EQ(s.cancelled, 3);
+    EXPECT_EQ(s.failed, 3);
+    for (const auto& c : s.clips) {
+      EXPECT_EQ(c.code, StatusCode::kCancelled) << c.id;
+      EXPECT_EQ(c.stage, BatchStage::Failed) << c.id;
+    }
+    // Cancelled rows are never journaled: the journal holds only the meta.
+    const SectionedFileReader journal(bcfg.journal_path, "GOPCBAT1");
+    EXPECT_TRUE(journal.has("meta"));
+    for (const auto& clip : clips) EXPECT_FALSE(journal.has("clip/" + clip.id));
+    drained.push_back(s);
+
+    // A resume with the flag cleared recomputes exactly the drained clips.
+    bcfg.stop = nullptr;
+    bcfg.resume = true;
+    const BatchSummary resumed = BatchRunner(eng, bcfg).run(clips);
+    EXPECT_EQ(resumed.resumed, 0);
+    EXPECT_FALSE(resumed.drained);
+    const std::string manifest =
+        scratch("batch_drain_w" + std::to_string(workers) + ".csv");
+    BatchRunner::write_manifest(manifest, resumed);
+    EXPECT_EQ(read_bytes(manifest), read_bytes(reference));
   }
+
+  // Both modes drain to the same rows, error text included.
+  ASSERT_EQ(drained.size(), 2u);
+  for (std::size_t i = 0; i < clips.size(); ++i) {
+    const BatchClipResult& a = drained[0].clips[i];
+    const BatchClipResult& b = drained[1].clips[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.source, b.source);
+    EXPECT_EQ(a.error, b.error);
+  }
+  const std::string m0 = scratch("batch_drain_0.csv");
+  const std::string m2 = scratch("batch_drain_2.csv");
+  BatchRunner::write_manifest(m0, drained[0]);
+  BatchRunner::write_manifest(m2, drained[1]);
+  EXPECT_EQ(read_bytes(m0), read_bytes(m2));
 }
 
 TEST_F(BatchRunnerTest, DeterministicManifestIsBitIdenticalAcrossRuns) {

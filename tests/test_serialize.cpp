@@ -127,10 +127,11 @@ TEST(Serialize, BatchNormBuffersRoundTrip) {
 }
 
 // Write a GOPCNET1 stream by hand: magic, u64 count, then per param
-// u64 name_len | name | u64 ndim | i64 dims | f32 data.
+// u64 name_len | name | u64 ndim | i64 dims | f32 data. The loader accepts
+// only GOPCNET2, so this weight-only stream must be refused.
 void write_legacy_v1(const std::string& path, const std::vector<Param>& params) {
   std::ofstream out(path, std::ios::binary);
-  out.write(kCheckpointMagicV1, 8);
+  out.write("GOPCNET1", 8);
   const std::uint64_t count = params.size();
   out.write(reinterpret_cast<const char*>(&count), sizeof count);
   for (const auto& p : params) {
@@ -146,41 +147,22 @@ void write_legacy_v1(const std::string& path, const std::vector<Param>& params) 
   }
 }
 
-TEST(Serialize, LegacyV1StillLoads) {
+TEST(Serialize, LegacyV1IsRejectedAndLeavesNetworkUntouched) {
   Sequential a = make_net(9);
   const auto path = temp_path("ganopc_net_v1.bin");
   write_legacy_v1(path, a.parameters());
 
   Sequential b = make_net(10);
-  load_parameters(b, path);
-  const auto pa = a.parameters();
+  std::vector<std::vector<float>> before;
+  for (const auto& p : b.parameters())
+    before.emplace_back(p.value->data(), p.value->data() + p.value->numel());
+  EXPECT_THROW(load_parameters(b, path), Error);
   const auto pb = b.parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i)
-    for (std::int64_t j = 0; j < pa[i].value->numel(); ++j)
-      EXPECT_EQ((*pa[i].value)[j], (*pb[i].value)[j]);
+  ASSERT_EQ(pb.size(), before.size());
+  for (std::size_t i = 0; i < pb.size(); ++i)
+    for (std::int64_t j = 0; j < pb[i].value->numel(); ++j)
+      EXPECT_EQ((*pb[i].value)[j], before[i][static_cast<std::size_t>(j)]);
   std::remove(path.c_str());
-}
-
-TEST(Serialize, LegacyV1TruncationRejected) {
-  Sequential a = make_net(13);
-  const auto path = temp_path("ganopc_net_v1t.bin");
-  write_legacy_v1(path, a.parameters());
-  // Chop the tail: the bounds-checked reader must throw, not zero-fill.
-  const auto cut = temp_path("ganopc_net_v1t_cut.bin");
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string data = std::move(buf).str();
-    data.resize(data.size() - 17);
-    std::ofstream out(cut, std::ios::binary);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  }
-  Sequential b = make_net(14);
-  EXPECT_THROW(load_parameters(b, cut), Error);
-  std::remove(path.c_str());
-  std::remove(cut.c_str());
 }
 
 TEST(Serialize, SaveFailpointLeavesNoFile) {
