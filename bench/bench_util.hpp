@@ -97,7 +97,7 @@ inline core::Generator get_generator(const core::GanOpcConfig& cfg,
     nn::load_parameters(generator.net(), path);
     return generator;
   }
-  core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng, true, cfg.d_dropout);
+  core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng);
   Prng train_rng(cfg.seed + (pretrained ? 300 : 400));
   core::GanOpcTrainer trainer(cfg, generator, discriminator, dataset, sim, train_rng);
   if (pretrained) {

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf("no checkpoint given — training a quick generator...\n");
     const core::Dataset dataset = core::Dataset::generate(cfg, sim);
-    core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng, true, cfg.d_dropout);
+    core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng);
     Prng train_rng(cfg.seed + 1);
     core::GanOpcTrainer trainer(cfg, generator, discriminator, dataset, sim, train_rng);
     trainer.pretrain(cfg.pretrain_iterations);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   Prng rng(cfg.seed);
   core::Generator generator(cfg.gan_grid, cfg.base_channels, rng);
-  core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng, true, cfg.d_dropout);
+  core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng);
   Prng train_rng(cfg.seed + 1);
   core::GanOpcTrainer trainer(cfg, generator, discriminator, dataset, sim, train_rng);
 

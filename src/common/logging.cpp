@@ -1,30 +1,21 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace ganopc {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::Info)};
 std::mutex g_mutex;
 
 const char* level_name(LogLevel level) {
   switch (level) {
-    case LogLevel::Debug: return "DEBUG";
     case LogLevel::Info: return "INFO";
     case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
   }
   return "?";
 }
 }  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {

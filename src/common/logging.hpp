@@ -1,5 +1,5 @@
 // Minimal leveled logging to stderr. Benches and examples use this for
-// progress lines; the library itself logs only at Debug level.
+// progress lines; every message prints.
 #pragma once
 
 #include <sstream>
@@ -7,11 +7,7 @@
 
 namespace ganopc {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Global threshold; messages below it are dropped. Defaults to Info.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+enum class LogLevel { Info, Warn };
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
@@ -19,15 +15,12 @@ void log_emit(LogLevel level, const std::string& msg);
 
 }  // namespace ganopc
 
-#define GANOPC_LOG(level, expr)                                      \
-  do {                                                               \
-    if (static_cast<int>(level) >= static_cast<int>(::ganopc::log_level())) { \
-      std::ostringstream oss_;                                       \
-      oss_ << expr;                                                  \
-      ::ganopc::detail::log_emit(level, oss_.str());                 \
-    }                                                                \
+#define GANOPC_LOG(level, expr)                      \
+  do {                                               \
+    std::ostringstream oss_;                         \
+    oss_ << expr;                                    \
+    ::ganopc::detail::log_emit(level, oss_.str());   \
   } while (0)
 
 #define GANOPC_INFO(expr) GANOPC_LOG(::ganopc::LogLevel::Info, expr)
 #define GANOPC_WARN(expr) GANOPC_LOG(::ganopc::LogLevel::Warn, expr)
-#define GANOPC_DEBUG(expr) GANOPC_LOG(::ganopc::LogLevel::Debug, expr)

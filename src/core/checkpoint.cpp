@@ -74,9 +74,6 @@ std::vector<float> read_history(ByteReader& r, const std::string& what) {
 struct TrainerCheckpointCodec {
   static void save(const GanOpcTrainer& tr, const std::string& path) {
     GANOPC_FAILPOINT_THROW("checkpoint.save");
-    if (tr.config_.d_dropout > 0.0f)
-      GANOPC_WARN("checkpoint: d_dropout > 0 — the dropout layer's private "
-                  "rng is not checkpointed, so resume will not be bit-identical");
     SectionedFileWriter file(nn::kCheckpointMagicV2);
 
     ByteWriter& meta = file.section("meta");
@@ -163,9 +160,6 @@ struct TrainerCheckpointCodec {
              << " litho_grid=" << litho_grid << " base_channels=" << base_channels
              << " batch_size=" << batch_size << " seed=" << seed
              << " dataset_size=" << dataset_size << ")");
-    if (tr.config_.d_dropout > 0.0f)
-      GANOPC_WARN("resume: d_dropout > 0 — the dropout layer's private rng is "
-                  "not checkpointed, so this run will not bit-match the original");
 
     const auto read_tensors = [&](const char* sec, const std::vector<nn::Param>& ps) {
       ByteReader r = file.open(sec);

@@ -19,7 +19,6 @@ void GanOpcConfig::validate() const {
   GANOPC_CHECK(gan_iterations >= 0 && pretrain_iterations >= 0);
   GANOPC_CHECK(lr_generator > 0 && lr_discriminator > 0 && pretrain_lr > 0);
   GANOPC_CHECK(alpha_l2 >= 0);
-  GANOPC_CHECK(d_dropout >= 0.0f && d_dropout < 1.0f);
   GANOPC_CHECK(library_size > 0);
   GANOPC_CHECK_MSG(optics.valid(), "invalid optics");
 }

@@ -31,9 +31,6 @@ struct GanOpcConfig {
   float lr_discriminator = 1e-3f;     ///< lambda for D (Adam)
   float alpha_l2 = 1.0f;              ///< alpha: weight of ||M* - M||_2^2 in l_g
   float pretrain_lr = 1e-3f;
-  float d_dropout = 0.0f;             ///< dropout before D's classifier head
-  bool cosine_lr = false;             ///< cosine-anneal both optimizers over
-                                      ///< gan_iterations (10% warmup)
 
   // --- substrates ---
   litho::OpticsConfig optics;         ///< shared by litho-grid and gan-grid sims

@@ -9,7 +9,7 @@
 namespace ganopc::core {
 
 Discriminator::Discriminator(std::int64_t image_size, std::int64_t base_channels, Prng& rng,
-                             bool paired, float dropout)
+                             bool paired)
     : image_size_(image_size), paired_(paired) {
   GANOPC_CHECK_MSG(image_size % 8 == 0, "discriminator image size must divide by 8");
   const std::int64_t c = base_channels;
@@ -23,7 +23,6 @@ Discriminator::Discriminator(std::int64_t image_size, std::int64_t base_channels
   net_.emplace<nn::BatchNorm2d>(4 * c);
   net_.emplace<nn::LeakyReLU>(0.2f);
   net_.emplace<nn::Flatten>();
-  if (dropout > 0.0f) net_.emplace<nn::Dropout>(dropout, rng());
   const std::int64_t s8 = image_size / 8;
   net_.emplace<nn::Linear>(4 * c * s8 * s8, 1);
   nn::init_network(net_, rng);

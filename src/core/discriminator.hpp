@@ -16,11 +16,9 @@ namespace ganopc::core {
 class Discriminator {
  public:
   /// `paired` selects the paper's pair-input scheme; false gives the naive
-  /// mask-only discriminator (kept for the §3.2 ablation). `dropout` > 0
-  /// adds inverted dropout before the final classifier head — a standard
-  /// GAN stabilizer when the discriminator overpowers the generator.
+  /// mask-only discriminator (kept for the §3.2 ablation).
   Discriminator(std::int64_t image_size, std::int64_t base_channels, Prng& rng,
-                bool paired = true, float dropout = 0.0f);
+                bool paired = true);
 
   /// Forward. Paired: targets+masks stacked as 2-channel input. Unpaired:
   /// masks only. Returns logits [N, 1] (no sigmoid — losses are

@@ -94,9 +94,8 @@ GanOpcTrainer::StepSnapshot GanOpcTrainer::capture_step_state(
   return snap;
 }
 
-void GanOpcTrainer::rollback_step(const StepSnapshot& snapshot, float lr_backoff,
-                                  TrainStats& stats, int iteration, int attempts,
-                                  const char* what) {
+void GanOpcTrainer::rollback_step(const StepSnapshot& snapshot, TrainStats& stats,
+                                  int iteration, int attempts, const char* what) {
   restore_values(generator_.parameters(), snapshot.gen_values);
   restore_values(generator_.buffers(), snapshot.gen_buffers);
   generator_.net().zero_grad();
@@ -108,7 +107,7 @@ void GanOpcTrainer::rollback_step(const StepSnapshot& snapshot, float lr_backoff
     d_opt_->restore_state(snapshot.d_t, snapshot.d_m, snapshot.d_v);
   }
   rng_.set_state(snapshot.rng);
-  lr_scale_ *= lr_backoff;
+  lr_scale_ *= kDivergenceLrBackoff;
   ++stats.divergence_rollbacks;
   if (obs::metrics_enabled()) obs::counter("trainer.rollbacks").inc();
   if (obs::ledger_enabled()) {
@@ -128,8 +127,7 @@ void GanOpcTrainer::rollback_step(const StepSnapshot& snapshot, float lr_backoff
 
 TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& options) {
   GANOPC_CHECK(iterations >= 0);
-  GANOPC_CHECK(options.checkpoint_every >= 0 && options.max_divergence_retries >= 0);
-  GANOPC_CHECK(options.lr_backoff > 0.0f && options.lr_backoff <= 1.0f);
+  GANOPC_CHECK(options.checkpoint_every >= 0);
   int start = 0;
   if (resume_pending_) {
     GANOPC_CHECK_MSG(phase_ != TrainPhase::Adversarial,
@@ -153,7 +151,6 @@ TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& option
   const std::int64_t gan_plane =
       static_cast<std::int64_t>(config_.gan_grid) * config_.gan_grid;
   generator_.set_training(true);
-  const bool guard = options.max_divergence_retries > 0;
 
   for (int it = start; it < iterations; ++it) {
     GANOPC_OBS_SPAN("trainer.pretrain.step");
@@ -168,7 +165,7 @@ TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& option
       return stats;
     }
     next_iteration_ = it;
-    const StepSnapshot snapshot = guard ? capture_step_state(false) : StepSnapshot{};
+    const StepSnapshot snapshot = capture_step_state(false);
     int attempts = 0;
     for (;;) {
       pre_opt_->set_learning_rate(config_.pretrain_lr * lr_scale_);
@@ -208,22 +205,22 @@ TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& option
       if (GANOPC_FAILPOINT("trainer.pretrain_grad"))
         grad_masks[0] = std::numeric_limits<float>::quiet_NaN();
 
-      bool bad = guard && (!std::isfinite(litho_err) || !tensor_finite(grad_masks));
+      bool bad = !std::isfinite(litho_err) || !tensor_finite(grad_masks);
       const char* what = "litho gradient";
       if (!bad) {
         generator_.backward(grad_masks);
-        if (guard && !grads_finite(generator_.parameters())) {
+        if (!grads_finite(generator_.parameters())) {
           bad = true;
           what = "parameter gradient";
         }
       }
       if (bad) {
         ++attempts;
-        GANOPC_CHECK_MSG(attempts <= options.max_divergence_retries,
+        GANOPC_CHECK_MSG(attempts <= kMaxDivergenceRetries,
                          "pretrain diverged: non-finite " << what << " at iteration " << it
                                                           << " after " << attempts
                                                           << " rollbacks");
-        rollback_step(snapshot, options.lr_backoff, stats, it, attempts, what);
+        rollback_step(snapshot, stats, it, attempts, what);
         continue;
       }
       pre_opt_->step();
@@ -246,8 +243,6 @@ TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& option
             .field("wall_s", timer.seconds());
         obs::ledger_emit(rec);
       }
-      GANOPC_DEBUG("pretrain it=" << it << " E=" << stats.litho_history.back()
-                                  << " l2=" << stats.l2_history.back());
       break;
     }
     next_iteration_ = it + 1;
@@ -263,8 +258,7 @@ TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& option
 
 TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) {
   GANOPC_CHECK(iterations >= 0);
-  GANOPC_CHECK(options.checkpoint_every >= 0 && options.max_divergence_retries >= 0);
-  GANOPC_CHECK(options.lr_backoff > 0.0f && options.lr_backoff <= 1.0f);
+  GANOPC_CHECK(options.checkpoint_every >= 0);
   int start = 0;
   if (resume_pending_) {
     if (phase_ == TrainPhase::Pretrain) {
@@ -277,10 +271,6 @@ TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) 
       GANOPC_CHECK_MSG(next_iteration_ <= iterations,
                        "resumed adversarial checkpoint is at iteration "
                            << next_iteration_ << ", beyond the requested " << iterations);
-      if (config_.cosine_lr && total_iterations_ != iterations)
-        GANOPC_WARN("train: resumed with " << iterations << " total iterations but the "
-                    << "checkpoint planned " << total_iterations_
-                    << "; the cosine schedule will not match the original run");
       start = next_iteration_;
     }
     resume_pending_ = false;
@@ -296,24 +286,10 @@ TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) 
   const int m = config_.batch_size;
   generator_.set_training(true);
   discriminator_.set_training(true);
-  const bool guard = options.max_divergence_retries > 0;
 
   nn::Tensor real_labels({static_cast<std::int64_t>(m), 1});
   real_labels.fill(1.0f);
   nn::Tensor fake_labels({static_cast<std::int64_t>(m), 1});
-
-  const nn::LrSchedule g_schedule =
-      config_.cosine_lr
-          ? nn::LrSchedule::cosine(config_.lr_generator, std::max(iterations, 1),
-                                   config_.lr_generator * 0.01f,
-                                   std::max(iterations / 10, 1))
-          : nn::LrSchedule(config_.lr_generator);
-  const nn::LrSchedule d_schedule =
-      config_.cosine_lr
-          ? nn::LrSchedule::cosine(config_.lr_discriminator, std::max(iterations, 1),
-                                   config_.lr_discriminator * 0.01f,
-                                   std::max(iterations / 10, 1))
-          : nn::LrSchedule(config_.lr_discriminator);
 
   for (int it = start; it < iterations; ++it) {
     GANOPC_OBS_SPAN("trainer.train.step");
@@ -328,11 +304,11 @@ TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) 
       return stats;
     }
     next_iteration_ = it;
-    const StepSnapshot snapshot = guard ? capture_step_state(true) : StepSnapshot{};
+    const StepSnapshot snapshot = capture_step_state(true);
     int attempts = 0;
     for (;;) {
-      g_opt_->set_learning_rate(g_schedule.at(it) * lr_scale_);
-      d_opt_->set_learning_rate(d_schedule.at(it) * lr_scale_);
+      g_opt_->set_learning_rate(config_.lr_generator * lr_scale_);
+      d_opt_->set_learning_rate(config_.lr_discriminator * lr_scale_);
       nn::Tensor targets, masks_ref;
       dataset_.sample_batch(rng_, m, targets, masks_ref);
 
@@ -345,14 +321,13 @@ TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) 
       const nn::Tensor logits_real = discriminator_.forward(targets, masks_ref);
       const float d_loss_real = nn::bce_with_logits_loss(logits_real, real_labels, grad_logits);
       discriminator_.backward_to_mask(grad_logits);
-      if (guard && (!std::isfinite(d_loss_fake) || !std::isfinite(d_loss_real) ||
-                    !grads_finite(discriminator_.parameters()))) {
+      if (!std::isfinite(d_loss_fake) || !std::isfinite(d_loss_real) ||
+          !grads_finite(discriminator_.parameters())) {
         ++attempts;
-        GANOPC_CHECK_MSG(attempts <= options.max_divergence_retries,
+        GANOPC_CHECK_MSG(attempts <= kMaxDivergenceRetries,
                          "train diverged: non-finite discriminator loss at iteration "
                              << it << " after " << attempts << " rollbacks");
-        rollback_step(snapshot, options.lr_backoff, stats, it, attempts,
-                      "discriminator loss");
+        rollback_step(snapshot, stats, it, attempts, "discriminator loss");
         continue;
       }
       d_opt_->step();
@@ -372,14 +347,13 @@ TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) 
       grad_mask_adv.add_scaled_(grad_mask_l2, config_.alpha_l2 / static_cast<float>(m));
       if (GANOPC_FAILPOINT("trainer.train_grad"))
         grad_mask_adv[0] = std::numeric_limits<float>::quiet_NaN();
-      if (guard && (!std::isfinite(g_adv) || !std::isfinite(l2_total) ||
-                    !tensor_finite(grad_mask_adv))) {
+      if (!std::isfinite(g_adv) || !std::isfinite(l2_total) ||
+          !tensor_finite(grad_mask_adv)) {
         ++attempts;
-        GANOPC_CHECK_MSG(attempts <= options.max_divergence_retries,
+        GANOPC_CHECK_MSG(attempts <= kMaxDivergenceRetries,
                          "train diverged: non-finite generator loss/gradient at iteration "
                              << it << " after " << attempts << " rollbacks");
-        rollback_step(snapshot, options.lr_backoff, stats, it, attempts,
-                      "generator loss/gradient");
+        rollback_step(snapshot, stats, it, attempts, "generator loss/gradient");
         continue;
       }
       generator_.backward(grad_mask_adv);
@@ -396,12 +370,10 @@ TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) 
             .field("l2", static_cast<double>(stats.l2_history.back()))
             .field("g_adv", static_cast<double>(g_adv))
             .field("d_loss", static_cast<double>(stats.d_loss_history.back()))
-            .field("lr", static_cast<double>(g_schedule.at(it) * lr_scale_))
+            .field("lr", static_cast<double>(config_.lr_generator * lr_scale_))
             .field("wall_s", timer.seconds());
         obs::ledger_emit(rec);
       }
-      GANOPC_DEBUG("train it=" << it << " l2=" << stats.l2_history.back() << " g_adv=" << g_adv
-                               << " d=" << stats.d_loss_history.back());
       break;
     }
     next_iteration_ = it + 1;

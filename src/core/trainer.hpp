@@ -42,9 +42,15 @@ struct TrainStats {
   int divergence_rollbacks = 0;       ///< non-finite steps rolled back + retried
 };
 
-/// Per-run robustness knobs for pretrain() / train(). Defaults preserve the
-/// historical behavior (no checkpointing) while keeping the divergence
-/// guard armed.
+/// Non-finite loss/gradient guard, armed in every run: rollbacks allowed per
+/// iteration before the run throws ganopc::Error.
+inline constexpr int kMaxDivergenceRetries = 3;
+/// Learning-rate multiplier applied at each rollback (persists for the rest
+/// of the run and across resume).
+inline constexpr float kDivergenceLrBackoff = 0.5f;
+
+/// Per-run checkpoint and stop options for pretrain() / train(). The defaults
+/// do no checkpointing.
 struct TrainRunOptions {
   /// Checkpoint file; empty disables checkpointing entirely.
   std::string checkpoint_path;
@@ -53,13 +59,6 @@ struct TrainRunOptions {
   /// Cooperative stop: when *stop becomes true the run flushes a final
   /// checkpoint (if a path is set) and returns with interrupted = true.
   const std::atomic<bool>* stop = nullptr;
-  /// Non-finite loss/gradient guard: rollbacks allowed per iteration before
-  /// the run throws ganopc::Error. 0 disables the guard (and the per-step
-  /// state snapshot that feeds it).
-  int max_divergence_retries = 3;
-  /// Learning-rate multiplier applied at each rollback (persists for the
-  /// rest of the run and across resume).
-  float lr_backoff = 0.5f;
 };
 
 /// Where a checkpoint was taken. Pretrain is Algorithm 2, Adversarial is
@@ -86,9 +85,8 @@ class GanOpcTrainer {
   TrainStats pretrain(int iterations) { return pretrain(iterations, TrainRunOptions{}); }
   TrainStats pretrain(int iterations, const TrainRunOptions& options);
 
-  /// Algorithm 1: adversarial training. Records the Eq. (9) L2 per
-  /// iteration for the Figure 7 curves. When config.cosine_lr is set, pass
-  /// the same `iterations` after a resume — the schedule is derived from it.
+  /// Algorithm 1: adversarial training with fixed-rate Adam. Records the
+  /// Eq. (9) L2 per iteration for the Figure 7 curves.
   TrainStats train(int iterations) { return train(iterations, TrainRunOptions{}); }
   TrainStats train(int iterations, const TrainRunOptions& options);
 
@@ -108,8 +106,8 @@ class GanOpcTrainer {
 
   struct StepSnapshot;
   StepSnapshot capture_step_state(bool include_discriminator) const;
-  void rollback_step(const StepSnapshot& snapshot, float lr_backoff, TrainStats& stats,
-                     int iteration, int attempts, const char* what);
+  void rollback_step(const StepSnapshot& snapshot, TrainStats& stats, int iteration,
+                     int attempts, const char* what);
 
   const GanOpcConfig& config_;
   Generator& generator_;

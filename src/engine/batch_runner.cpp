@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 
+#include "common/backoff.hpp"
 #include "common/csv.hpp"
 #include "common/failpoint.hpp"
 #include "common/sectioned_file.hpp"
@@ -21,9 +22,11 @@ namespace {
 
 constexpr char kJournalMagic[] = "GOPCBAT1";
 // v2: meta carries quarantine_kills; rows may carry StatusCode::kQuarantined.
+// v3: meta carries the litho backend name and a hash of the generator
+// weights; the retry perturbation amplitude is a constant and left out.
 // `workers` is deliberately *not* journaled — a supervised run may be resumed
 // sequentially or with a different worker count and replay identically.
-constexpr std::uint32_t kJournalVersion = 2;
+constexpr std::uint32_t kJournalVersion = 3;
 
 constexpr char kDrainedError[] =
     "cancelled: batch drain requested before this clip started";
@@ -39,6 +42,19 @@ std::string file_stem(const std::string& path) {
   const std::size_t dot = name.find_last_of('.');
   if (dot != std::string::npos && dot > 0) name.resize(dot);
   return name;
+}
+
+// FNV-1a over the generator's parameter and buffer bytes, so a journal
+// written with one set of weights never replays under another; 0 when the
+// session has no generator.
+std::uint64_t generator_hash(core::Generator* generator) {
+  if (generator == nullptr) return 0;
+  std::string bytes;
+  for (const auto& params : {generator->parameters(), generator->buffers()})
+    for (const nn::Param& p : params)
+      bytes.append(reinterpret_cast<const char*>(p.value->data()),
+                   static_cast<std::size_t>(p.value->numel()) * sizeof(float));
+  return fnv1a64(bytes);
 }
 
 std::string format_g(double v) {
@@ -269,10 +285,10 @@ void BatchRunner::write_meta(ByteWriter& w,
   w.pod(static_cast<std::int32_t>(policy.max_retries));
   w.pod(static_cast<std::uint8_t>(policy.allow_fallback ? 1 : 0));
   w.pod(policy.l2_accept_factor);
-  w.pod(policy.perturb_amplitude);
   w.pod(static_cast<std::uint8_t>(batch_.deterministic_manifest ? 1 : 0));
   w.pod(static_cast<std::int32_t>(batch_.quarantine_kills));
-  w.pod(static_cast<std::uint8_t>(engine_.generator() != nullptr ? 1 : 0));
+  w.str(engine_.backend_name());
+  w.pod(generator_hash(engine_.generator()));
   w.pod(config.clip_nm);
   w.pod(config.litho_grid);
   w.pod(static_cast<std::int32_t>(config.ilt.max_iterations));

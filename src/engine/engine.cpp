@@ -23,6 +23,11 @@ namespace ganopc::engine {
 
 namespace {
 
+/// Uniform noise amplitude added to the mask on each perturbed restart.
+constexpr float kPerturbAmplitude = 0.08f;
+/// Ceiling of the retry backoff sleep.
+constexpr double kRetryBackoffCapS = 1.0;
+
 std::string format_g(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -48,11 +53,8 @@ Engine::Engine(EngineOptions options)
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
                      policy_.max_retries >= 0 && policy_.clip_deadline_s >= 0.0 &&
                          policy_.l2_accept_factor >= 0.0f &&
-                         policy_.perturb_amplitude >= 0.0f &&
-                         policy_.retry_backoff_base_s >= 0.0 &&
-                         policy_.retry_backoff_cap_s >= 0.0,
-                     "engine: retries/deadline/accept-factor/perturbation/"
-                     "backoff must be >= 0");
+                         policy_.retry_backoff_base_s >= 0.0,
+                     "engine: retries/deadline/accept-factor/backoff must be >= 0");
   if (options.generator != nullptr) {
     generator_ = options.generator;
   } else if (!options.generator_path.empty()) {
@@ -202,9 +204,8 @@ void Engine::optimize_clip(const geom::Layout& clip, double clip_deadline_s,
         // re-entering the engine back-to-back: transient pressure — page
         // cache, sibling supervised workers — gets a chance to clear, and
         // the delay sequence is reproducible run-to-run.
-        double delay = backoff_delay_s(policy_.retry_backoff_base_s,
-                                       policy_.retry_backoff_cap_s, attempt,
-                                       policy_.seed ^ fnv1a64(res.id));
+        double delay = backoff_delay_s(policy_.retry_backoff_base_s, kRetryBackoffCapS,
+                                       attempt, policy_.seed ^ fnv1a64(res.id));
         // Never sleep away more than half the clip's remaining budget.
         if (std::isfinite(remaining)) delay = std::min(delay, remaining * 0.5);
         if (delay > 0.0) {
@@ -332,7 +333,7 @@ void Engine::perturb(geom::Grid& mask, const std::string& id, int attempt) const
   // (seed, clip, attempt) and independent of batch order or platform.
   Prng rng(policy_.seed ^ fnv1a64(id) ^
            (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(attempt)));
-  const double amp = policy_.perturb_amplitude;
+  const double amp = kPerturbAmplitude;
   for (auto& v : mask.data)
     v = std::clamp(v + static_cast<float>(rng.uniform(-amp, amp)), 0.0f, 1.0f);
 }

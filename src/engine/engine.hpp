@@ -57,13 +57,11 @@ struct SubmitPolicy {
   /// Accept a mask when its L2 <= factor * L2(uncorrected print of target).
   /// 0 accepts any finite L2.
   float l2_accept_factor = 1.0f;
-  float perturb_amplitude = 0.08f; ///< uniform noise added on retry restarts
   std::uint64_t seed = 1847;       ///< perturbation stream seed
 
-  /// Base/cap for the retry backoff sleep before each perturbed restart
+  /// Base of the retry backoff sleep before each perturbed restart
   /// (deterministic jitter keyed on seed + clip id; see common/backoff).
   double retry_backoff_base_s = 0.025;
-  double retry_backoff_cap_s = 1.0;
 };
 
 /// Everything needed to open a session. `config` is validated on

@@ -37,10 +37,6 @@ struct Grid {
   bool in_bounds(std::int32_t r, std::int32_t c) const {
     return r >= 0 && r < rows && c >= 0 && c < cols;
   }
-  bool same_geometry(const Grid& o) const {
-    return rows == o.rows && cols == o.cols && pixel_nm == o.pixel_nm &&
-           origin_x == o.origin_x && origin_y == o.origin_y;
-  }
 };
 
 }  // namespace ganopc::geom

@@ -115,7 +115,7 @@ Layout Layout::from_text(const std::string& text) {
                        static_cast<bool>(iss >> r.x0 >> r.y0 >> r.x1 >> r.y1),
                        "malformed layout line after '" << keyword << "'");
     if (keyword == "clip") {
-      layout.set_clip(r);
+      layout.clip_ = r;
       saw_clip = true;
     } else if (keyword == "rect") {
       layout.add(r);

@@ -20,7 +20,6 @@ class Layout {
   explicit Layout(Rect clip) : clip_(clip) {}
 
   const Rect& clip() const { return clip_; }
-  void set_clip(Rect clip) { clip_ = clip; }
 
   const std::vector<Rect>& rects() const { return rects_; }
   std::size_t size() const { return rects_.size(); }

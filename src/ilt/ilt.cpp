@@ -19,8 +19,9 @@ namespace {
 /// `ilt.termination.<reason>` counter for every exit path, registered once.
 obs::Counter& termination_counter(TerminationReason reason) {
   static const auto counters = [] {
-    std::array<obs::Counter*, 6> out{};
-    for (int r = 0; r < 6; ++r)
+    constexpr int kReasons = static_cast<int>(TerminationReason::kDeadlineExceeded) + 1;
+    std::array<obs::Counter*, kReasons> out{};
+    for (int r = 0; r < kReasons; ++r)
       out[static_cast<std::size_t>(r)] = &obs::counter(
           std::string("ilt.termination.") +
           termination_reason_name(static_cast<TerminationReason>(r)));
@@ -36,7 +37,6 @@ const char* termination_reason_name(TerminationReason reason) {
     case TerminationReason::kConverged: return "converged";
     case TerminationReason::kTargetReached: return "target-reached";
     case TerminationReason::kPatience: return "patience";
-    case TerminationReason::kStalled: return "stalled";
     case TerminationReason::kDiverged: return "diverged";
     case TerminationReason::kDeadlineExceeded: return "deadline-exceeded";
   }
@@ -57,9 +57,6 @@ IltEngine::IltEngine(const litho::LithoSim& sim, const IltConfig& config)
   for (const float d : config.dose_corners)
     GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, d > 0.0f,
                        "ILT dose corners must be positive");
-  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
-                     config.stall_checks >= 0 && config.stall_rel_tol >= 0.0f,
-                     "ILT: invalid stall watchdog settings");
 }
 
 geom::Grid IltEngine::smoothness_gradient(const geom::Grid& mask) {
@@ -126,9 +123,6 @@ IltResult IltEngine::optimize(const geom::Grid& target,
   };
 
   IltResult result;
-  // PVB-per-check is forced on under an open ledger so its ilt_iter
-  // convergence records always carry the complete L2/PVB pair.
-  const bool want_pvb = config_.record_pvb_history || obs::ledger_enabled();
   float last_scale = 0.0f;
   // Record one convergence sample at `iteration`: history vectors (fixed
   // stride = check_every, indices attached) and, when a ledger is open, one
@@ -136,16 +130,13 @@ IltResult IltEngine::optimize(const geom::Grid& target,
   auto record_check = [&](int iteration, double l2) {
     result.l2_history.push_back(l2);
     result.history_iters.push_back(iteration);
-    double pvb = 0.0;
-    if (want_pvb) {
-      pvb = static_cast<double>(sim_.pv_band(hard).area_nm2);
-      result.pvb_history.push_back(pvb);
-    }
     if (obs::ledger_enabled()) {
+      const double pvb = static_cast<double>(sim_.pv_band(hard).area_nm2);
       obs::LedgerRecord rec("ilt_iter");
-      rec.field("iter", iteration).field("l2", l2);
-      if (want_pvb) rec.field("pvb", pvb);
-      rec.field("step", static_cast<double>(last_scale))
+      rec.field("iter", iteration)
+          .field("l2", l2)
+          .field("pvb", pvb)
+          .field("step", static_cast<double>(last_scale))
           .field("wall_s", timer.seconds());
       obs::ledger_emit(rec);
     }
@@ -174,9 +165,7 @@ IltResult IltEngine::optimize(const geom::Grid& target,
   float step_backoff = 1.0f;
   record_check(0, best_l2);
   const double initial_l2 = best_l2;
-  double prev_l2 = best_l2;
-  int stall_checks = 0;   // consecutive checks without a new best (patience)
-  int plateau_checks = 0; // consecutive near-identical checks (stall watchdog)
+  int checks_since_best = 0;  // consecutive checks without a new best (patience)
   int iter = 0;
   TerminationReason reason = TerminationReason::kConverged;
   if (!std::isfinite(best_l2)) {
@@ -219,9 +208,8 @@ IltResult IltEngine::optimize(const geom::Grid& target,
       reason = TerminationReason::kDiverged;
       break;
     }
-    const float scale = step_backoff * (config_.normalize_gradient && max_abs > 0.0f
-                                            ? config_.step_size / max_abs
-                                            : config_.step_size);
+    const float scale =
+        step_backoff * (max_abs > 0.0f ? config_.step_size / max_abs : config_.step_size);
     last_scale = scale;
     // Fused descent step + sigmoid refresh — the former two pixel sweeps.
     kern.update_sigmoid(p.data(), grad_p.data(), scale, beta, mask_b.data.data(), npx);
@@ -243,29 +231,19 @@ IltResult IltEngine::optimize(const geom::Grid& target,
         best_l2 = l2;
         best_mask_b = mask_b;
         best_p = p;
-        stall_checks = 0;
-        plateau_checks = 0;
+        checks_since_best = 0;
       } else {
-        ++stall_checks;
-        const double tol =
-            static_cast<double>(config_.stall_rel_tol) * std::max(prev_l2, 1.0);
-        plateau_checks = std::fabs(l2 - prev_l2) <= tol ? plateau_checks + 1 : 0;
+        ++checks_since_best;
         p = best_p;
         mask_b = best_mask_b;
         step_backoff *= 0.5f;
       }
-      prev_l2 = l2;
       if (best_l2 <= config_.target_l2_px) {
         reason = TerminationReason::kTargetReached;
         ++iter;
         break;
       }
-      if (config_.stall_checks > 0 && plateau_checks >= config_.stall_checks) {
-        reason = TerminationReason::kStalled;
-        ++iter;
-        break;
-      }
-      if (stall_checks >= config_.patience) {
+      if (checks_since_best >= config_.patience) {
         reason = TerminationReason::kPatience;
         ++iter;
         break;
@@ -284,16 +262,14 @@ IltResult IltEngine::optimize(const geom::Grid& target,
         .field("l2", best_l2)
         .field("wall_s", timer.seconds());
     obs::ledger_emit(rec);
-    if (reason == TerminationReason::kStalled ||
-        reason == TerminationReason::kDiverged ||
+    if (reason == TerminationReason::kDiverged ||
         reason == TerminationReason::kDeadlineExceeded)
       obs::flight_dump(std::string("ilt.") + termination_reason_name(reason));
   }
   if (obs::metrics_enabled()) {
     obs::counter("ilt.iterations").inc(static_cast<std::uint64_t>(iter));
     termination_counter(reason).inc();
-    if (reason == TerminationReason::kStalled ||
-        reason == TerminationReason::kDiverged ||
+    if (reason == TerminationReason::kDiverged ||
         reason == TerminationReason::kDeadlineExceeded)
       obs::counter("ilt.watchdog.terminations").inc();
   }

@@ -22,21 +22,17 @@ namespace ganopc::ilt {
 
 struct IltConfig {
   int max_iterations = 400;
-  /// Step on the unbounded parameter after gradient normalization.
+  /// Step on the unbounded parameter; every step is scaled by 1 / max|grad|
+  /// so tuning is grid-size independent.
   float step_size = 0.8f;
   /// Mask relaxation steepness (beta in Eq. 13).
   float beta = 4.0f;
-  /// Scale steps by 1 / max|grad| so tuning is grid-size independent.
-  bool normalize_gradient = true;
   /// Evaluate the hard-resist L2 every this many iterations. Every check is
   /// recorded in IltResult::l2_history with its iteration index in
   /// history_iters, so the convergence trajectory has a fixed, known stride.
+  /// While the run ledger is open, each check also evaluates the PV band
+  /// (two extra simulations) for the ilt_iter record's pvb field.
   int check_every = 10;
-  /// Also evaluate the PV band at every check (fills pvb_history and the
-  /// ledger's per-iteration pvb field). Costs two extra simulations per
-  /// check; forced on whenever the run ledger is open so its convergence
-  /// records are complete.
-  bool record_pvb_history = false;
   /// Stop when the best hard L2 has not improved for this many checks.
   int patience = 6;
   /// Stop immediately when hard L2 (pixels) drops to or below this.
@@ -60,12 +56,6 @@ struct IltConfig {
   /// starting L2 (the loop is blowing up, not descending); <= 0 disables.
   /// Non-finite gradients / L2 always terminate Diverged regardless.
   float divergence_factor = 0.0f;
-  /// Terminate Stalled after this many *consecutive* checks whose L2 moved
-  /// by less than stall_rel_tol (relative) without improving the best — a
-  /// plateau or small oscillation that `patience` would only catch later.
-  /// 0 disables. Should be < patience to ever fire first.
-  int stall_checks = 0;
-  float stall_rel_tol = 1e-4f;
 
   /// Optional caller-owned litho workspace reused across optimize() calls
   /// (nullptr = per-call scratch). An Engine session points this at its
@@ -80,9 +70,9 @@ enum class TerminationReason {
   kConverged,         ///< ran the full max_iterations budget normally
   kTargetReached,     ///< best hard L2 dropped to target_l2_px or below
   kPatience,          ///< best not improved for `patience` checks
-  kStalled,           ///< watchdog: L2 plateau/oscillation (stall_checks)
   kDiverged,          ///< watchdog: non-finite values or L2 blow-up
-  kDeadlineExceeded,  ///< watchdog: wall-clock deadline hit
+  kDeadlineExceeded,  ///< watchdog: wall-clock deadline hit (keep last: the
+                      ///< journal decoder and counter table bound on it)
 };
 
 /// Stable machine-readable name ("converged", "deadline-exceeded", ...).
@@ -100,9 +90,6 @@ struct IltResult {
   /// always reflects the mask the loop ended on).
   std::vector<double> l2_history;
   std::vector<int> history_iters;   ///< iteration index of each history entry
-  /// PV band (nm^2) at each check; parallel to l2_history when
-  /// record_pvb_history (or an open ledger) enabled it, else empty.
-  std::vector<double> pvb_history;
   TerminationReason termination = TerminationReason::kConverged;
 };
 

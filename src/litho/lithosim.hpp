@@ -44,7 +44,6 @@ class LithoSim {
   std::int32_t grid_size() const { return kernels_.grid_size(); }
   std::int32_t pixel_nm() const { return kernels_.pixel_nm(); }
   float threshold() const { return threshold_; }
-  float sigmoid_alpha() const { return resist_.sigmoid_alpha; }
 
   /// Aerial image of a (possibly continuous-valued) mask in [0, 1].
   /// Convenience wrapper over `aerial_into` using a per-thread workspace.

@@ -11,13 +11,6 @@ void init_normal(Tensor& t, Prng& rng, float stddev) {
     t[i] = static_cast<float>(rng.normal(0.0, stddev));
 }
 
-void init_xavier_uniform(Tensor& t, Prng& rng, std::int64_t fan_in, std::int64_t fan_out) {
-  GANOPC_CHECK(fan_in > 0 && fan_out > 0);
-  const float bound = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  for (std::int64_t i = 0; i < t.numel(); ++i)
-    t[i] = static_cast<float>(rng.uniform(-bound, bound));
-}
-
 void init_he_normal(Tensor& t, Prng& rng, std::int64_t fan_in) {
   GANOPC_CHECK(fan_in > 0);
   init_normal(t, rng, std::sqrt(2.0f / static_cast<float>(fan_in)));

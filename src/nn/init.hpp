@@ -9,9 +9,6 @@ namespace ganopc::nn {
 /// Fill with N(0, stddev).
 void init_normal(Tensor& t, Prng& rng, float stddev);
 
-/// Glorot/Xavier uniform given fan-in/fan-out.
-void init_xavier_uniform(Tensor& t, Prng& rng, std::int64_t fan_in, std::int64_t fan_out);
-
 /// He/Kaiming normal given fan-in (for ReLU-family activations).
 void init_he_normal(Tensor& t, Prng& rng, std::int64_t fan_in);
 

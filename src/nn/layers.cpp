@@ -165,33 +165,6 @@ Tensor Tanh::backward(const Tensor& grad_output) {
   return g;
 }
 
-// ------------------------------------------------------------------ Dropout
-
-Dropout::Dropout(float p, std::uint64_t seed) : p_(p), rng_(seed) {
-  GANOPC_CHECK_MSG(p >= 0.0f && p < 1.0f, "dropout probability must be in [0, 1)");
-}
-
-Tensor Dropout::forward(const Tensor& input) {
-  if (!training_ || p_ == 0.0f) return input;
-  mask_ = Tensor(input.shape());
-  const float keep_scale = 1.0f / (1.0f - p_);
-  Tensor out(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float m = rng_.bernoulli(p_) ? 0.0f : keep_scale;
-    mask_[i] = m;
-    out[i] = input[i] * m;
-  }
-  return out;
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (p_ == 0.0f) return grad_output;
-  GANOPC_CHECK_MSG(grad_output.same_shape(mask_), "Dropout backward without forward");
-  Tensor g(grad_output.shape());
-  for (std::int64_t i = 0; i < g.numel(); ++i) g[i] = grad_output[i] * mask_[i];
-  return g;
-}
-
 // ------------------------------------------------------------------- Linear
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, bool bias)

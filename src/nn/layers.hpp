@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "common/prng.hpp"
 #include "nn/layer.hpp"
 
 namespace ganopc::nn {
@@ -52,22 +51,6 @@ class Tanh final : public Layer {
 
  private:
   Tensor output_;
-};
-
-/// Inverted dropout: scales kept activations by 1/(1-p) during training so
-/// evaluation is a plain pass-through. Randomness comes from the seeded Prng
-/// supplied at construction, keeping runs reproducible.
-class Dropout final : public Layer {
- public:
-  Dropout(float p, std::uint64_t seed);
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Dropout"; }
-
- private:
-  float p_;
-  Prng rng_;
-  Tensor mask_;  // per-element keep scale (0 or 1/(1-p))
 };
 
 /// Fully connected layer: input [N x in], output [N x out].

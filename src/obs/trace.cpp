@@ -125,11 +125,6 @@ void ObsSpan::finish() {
   }
 }
 
-void trace_record(const char* interned_name, std::uint64_t start_ns,
-                  std::uint64_t end_ns) {
-  record_local({interned_name, start_ns, end_ns - start_ns, 0, 0, 0, 0, 0});
-}
-
 void record_span(const SpanSite& site, std::uint64_t start_ns,
                  std::uint64_t end_ns, std::uint64_t trace_id,
                  std::uint64_t span_id, std::uint64_t parent_id,

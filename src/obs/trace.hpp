@@ -140,11 +140,6 @@ struct TraceEvent {
   std::uint64_t parent_id = 0;  ///< 0 = request root
 };
 
-/// Append one event to the calling thread's buffer (no-op past the per-thread
-/// cap; drops are counted in `obs.trace.dropped`). Identity fields zero.
-void trace_record(const char* interned_name, std::uint64_t start_ns,
-                  std::uint64_t end_ns);
-
 /// Record a completed span explicitly — for spans that cannot be RAII-scoped
 /// (a daemon request crosses many event-loop iterations) or whose timestamps
 /// come from elsewhere (stage attribution from wire-carried clocks). Applies

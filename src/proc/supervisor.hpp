@@ -204,8 +204,6 @@ class Supervisor {
   /// (it is abandoned — cancel or drain first if results matter).
   void shutdown(double grace_s = 5.0);
 
-  bool session_open() const { return engine_ != nullptr; }
-
   /// Every worker death observed by the last run() / the open session.
   const std::vector<CrashReport>& crash_reports() const { return crash_reports_; }
 

@@ -20,6 +20,7 @@
 #include "engine/engine.hpp"
 #include "gds/gds.hpp"
 #include "geometry/layout.hpp"
+#include "litho/backend.hpp"
 
 namespace ganopc::engine {
 namespace {
@@ -318,8 +319,36 @@ TEST_F(BatchRunnerTest, ResumeRejectsJournalFromDifferentBatch) {
   kills.quarantine_kills = bcfg.quarantine_kills + 1;
   expect_rejected(eng, kills, clips, "quarantine_kills");
 
+  EngineOptions tcc = make_options(make_cfg());
+  tcc.backend = litho::parse_litho_backend("tcc:4");
+  const Engine tcc_eng(tcc);
+  expect_rejected(tcc_eng, bcfg, clips, "litho backend");
+
   // The unchanged batch still resumes from the same journal.
   EXPECT_EQ(BatchRunner(eng, bcfg).run(clips).resumed, 2);
+
+  // Generator identity is its weights, not just its presence: a journal
+  // written with one generator does not replay under another.
+  const core::GanOpcConfig cfg = make_cfg();
+  Prng rng_a(1), rng_b(2);
+  core::Generator gen_a(cfg.gan_grid, cfg.base_channels, rng_a);
+  core::Generator gen_b(cfg.gan_grid, cfg.base_channels, rng_b);
+  const Engine eng_a(make_options(cfg, SubmitPolicy{}, &gen_a));
+  const Engine eng_b(make_options(cfg, SubmitPolicy{}, &gen_b));
+  BatchConfig gen_cfg;
+  gen_cfg.journal_path = scratch("batch_generator.journal");
+  BatchRunner(eng_a, gen_cfg).run(clips);
+  gen_cfg.resume = true;
+  try {
+    BatchRunner(eng_b, gen_cfg).run(clips);
+    ADD_FAILURE() << "journal accepted despite different generator weights";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find("written by a different batch"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(BatchRunner(eng_a, gen_cfg).run(clips).resumed, 2);
 }
 
 TEST_F(BatchRunnerTest, PoolJournalResumesInProcess) {

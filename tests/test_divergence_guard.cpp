@@ -43,8 +43,7 @@ TEST_F(DivergenceGuardTest, PersistentPretrainFaultExhaustsRetriesAndThrows) {
   Rig rig(testutil::make_tiny_config());
   failpoint::arm("trainer.pretrain_grad", 0, /*count=*/-1);  // every attempt fails
   EXPECT_THROW(rig.trainer.pretrain(4), Error);
-  EXPECT_EQ(failpoint::fire_count("trainer.pretrain_grad"),
-            TrainRunOptions{}.max_divergence_retries + 1);
+  EXPECT_EQ(failpoint::fire_count("trainer.pretrain_grad"), kMaxDivergenceRetries + 1);
 }
 
 TEST_F(DivergenceGuardTest, TransientTrainFaultRollsBackAndCompletes) {

@@ -1,7 +1,7 @@
 // Engine session contract (DESIGN.md §15): the embeddable libganopc entry
 // point behind `ganopc optimize`, batch, and serve.
 //
-// Two pins:
+// Three pins:
 //   - Front-end bit-identity: one long-lived Engine session submitting N
 //     clips produces byte-for-byte the same masks as N fresh one-shot
 //     `ganopc optimize` subprocess invocations (thread count pinned on both
@@ -9,6 +9,8 @@
 //   - Steady-state reuse: after a warm-up submission the session's FFT plan
 //     cache stops missing and the persistent ILT workspace stops growing —
 //     the observable proxy for "submit() allocates nothing at steady state".
+//   - CLI argument hygiene: a malformed number or an unknown flag fails the
+//     one-shot front-end before it writes anything.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,7 +18,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "common/parallel.hpp"
 #include "common/status.hpp"
@@ -150,6 +155,31 @@ TEST_F(EngineTest, SteadyStateSubmissionsReusePlansAndWorkspaces) {
   EXPECT_GT(obs::counter("fft.plan_cache.hits").value(), hits_warm);
 
   obs::set_metrics_enabled(false);
+}
+
+// A malformed number used to parse as its leading digits (atoi: "four" ran
+// in-process as 0 workers) and a misspelled flag used to be ignored ("--iter
+// 8" ran the default 60 iterations). Both must fail the run, name the flag,
+// and leave no manifest behind.
+TEST_F(EngineTest, CliRejectsMalformedNumbersAndUnknownFlags) {
+  const std::string clip = path("clip.txt");
+  wire_clip(make_cfg().clip_nm, 0).save(clip);
+  const std::string manifest = path("manifest.csv");
+  const std::string batch =
+      "batch --clips " + clip + " --scale quick --grid 64 --manifest " + manifest;
+  const std::pair<std::string, std::string> cases[] = {
+      {"--workers", " --workers four"},
+      {"--iter", " --iter 8"},
+  };
+  for (const auto& [flag, extra] : cases) {
+    const int rc = run_cli(batch + extra);
+    const std::string out = read_bytes(path("stdout.txt"));
+    ASSERT_TRUE(WIFEXITED(rc)) << extra;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << extra << "\n" << out;
+    EXPECT_NE(out.find("error: "), std::string::npos) << out;
+    EXPECT_NE(out.find(flag), std::string::npos) << out;
+    EXPECT_FALSE(std::filesystem::exists(manifest)) << extra;
+  }
 }
 
 TEST_F(EngineTest, UnreadableGeneratorPathIsTypedAtConstruction) {

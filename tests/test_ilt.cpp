@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -10,6 +12,7 @@
 #include "geometry/bitmap_ops.hpp"
 #include "geometry/raster.hpp"
 #include "ilt/ilt.hpp"
+#include "obs/ledger.hpp"
 
 namespace ganopc::ilt {
 namespace {
@@ -70,11 +73,9 @@ TEST(Ilt, HistoryHasFixedStrideWithIterationIndices) {
   ASSERT_EQ(result.history_iters.size(), result.l2_history.size());
   const std::vector<int> expect = {0, 5, 10, 15, 20, 23};
   EXPECT_EQ(result.history_iters, expect);
-  // PVB history is opt-in and off by default (it costs two sims per check).
-  EXPECT_TRUE(result.pvb_history.empty());
 }
 
-TEST(Ilt, PvbHistoryParallelsL2WhenEnabled) {
+TEST(Ilt, LedgerCarriesPvbForEveryCheck) {
   const auto sim = make_sim();
   const geom::Grid target = wire_target(64, 32);
   IltConfig cfg;
@@ -82,13 +83,25 @@ TEST(Ilt, PvbHistoryParallelsL2WhenEnabled) {
   cfg.check_every = 5;
   cfg.patience = 1000;
   cfg.target_l2_px = -1.0;
-  cfg.record_pvb_history = true;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ganopc_ilt_pvb_ledger.jsonl").string();
+  std::filesystem::remove(path);
+  obs::ledger_open(path);
   const IltResult result = IltEngine(sim, cfg).optimize(target);
-  ASSERT_EQ(result.pvb_history.size(), result.l2_history.size());
-  for (const double pvb : result.pvb_history) {
+  obs::ledger_close();
+  const obs::LedgerFile ledger = obs::read_ledger(path);
+  std::filesystem::remove(path);
+
+  std::size_t checks = 0;
+  for (const json::Value& ev : ledger.events) {
+    if (ev.string_or("type", "") != "ilt_iter") continue;
+    ASSERT_NE(ev.find("pvb"), nullptr);
+    const double pvb = ev.number_or("pvb", -1.0);
     EXPECT_TRUE(std::isfinite(pvb));
     EXPECT_GE(pvb, 0.0);
+    ++checks;
   }
+  EXPECT_EQ(checks, result.l2_history.size());
 }
 
 TEST(Ilt, HistoryEndsOnTheStateTheLoopExitedWith) {
@@ -290,21 +303,6 @@ TEST_F(IltWatchdog, NoImprovementReportsPatience) {
   EXPECT_LT(r.iterations, cfg.max_iterations);
 }
 
-TEST_F(IltWatchdog, PlateauReportsStalledBeforePatience) {
-  const auto sim = make_sim();
-  const geom::Grid target = wire_target(64, 32);
-  IltConfig cfg;
-  cfg.max_iterations = 500;
-  cfg.check_every = 5;
-  cfg.patience = 50;          // patience would need 50 flat checks...
-  cfg.stall_checks = 2;       // ...the stall watchdog fires after 2
-  cfg.stall_rel_tol = 0.05f;  // "flat" = within 5% of the previous check
-  cfg.target_l2_px = -1.0;
-  const IltResult r = IltEngine(sim, cfg).optimize(target);
-  EXPECT_EQ(r.termination, TerminationReason::kStalled);
-  EXPECT_LT(r.iterations, cfg.max_iterations);
-}
-
 TEST_F(IltWatchdog, TinyDeadlineReportsDeadlineExceeded) {
   const auto sim = make_sim();
   const geom::Grid target = wire_target(64, 32);
@@ -384,35 +382,20 @@ TEST_F(IltWatchdog, DivergenceFactorTripsOnExplodingL2) {
   cfg.max_iterations = 200;
   cfg.check_every = 1;
   cfg.step_size = 1e6f;          // absurd step: the mask leaves the basin
-  cfg.normalize_gradient = false;
   cfg.divergence_factor = 4.0f;  // trip when L2 > 4x the initial value
   const IltResult r = IltEngine(sim, cfg).optimize(target);
-  if (r.termination == TerminationReason::kDiverged)
-    EXPECT_LT(r.iterations, cfg.max_iterations);
-  else
-    // A wild step can also land on an all-off mask whose L2 merely plateaus;
-    // either way the run must terminate with a legal reason, never NaN.
-    EXPECT_TRUE(std::isfinite(r.l2_px));
+  EXPECT_EQ(r.termination, TerminationReason::kDiverged);
+  EXPECT_LT(r.iterations, cfg.max_iterations);
 }
 
 TEST_F(IltWatchdog, EveryReasonHasAName) {
   const TerminationReason reasons[] = {
       TerminationReason::kConverged,  TerminationReason::kTargetReached,
-      TerminationReason::kPatience,   TerminationReason::kStalled,
-      TerminationReason::kDiverged,   TerminationReason::kDeadlineExceeded,
+      TerminationReason::kPatience,   TerminationReason::kDiverged,
+      TerminationReason::kDeadlineExceeded,
   };
   for (const TerminationReason reason : reasons)
     EXPECT_STRNE(termination_reason_name(reason), "?");
-}
-
-TEST_F(IltWatchdog, InvalidStallSettingsRejected) {
-  const auto sim = make_sim();
-  IltConfig bad;
-  bad.stall_checks = -1;
-  EXPECT_THROW(IltEngine(sim, bad), ganopc::Error);
-  bad = IltConfig{};
-  bad.stall_rel_tol = -0.5f;
-  EXPECT_THROW(IltEngine(sim, bad), ganopc::Error);
 }
 
 TEST(Ilt, DeterministicAcrossRuns) {

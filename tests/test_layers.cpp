@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "gradcheck.hpp"
 #include "nn/layers.hpp"
@@ -69,54 +68,6 @@ TEST(TanhLayer, GradCheck) {
   Prng rng(4);
   Tanh t;
   check_layer_gradients(t, random_tensor({1, 2, 3, 3}, rng), rng);
-}
-
-TEST(DropoutLayer, EvalIsIdentity) {
-  Dropout drop(0.5f, 1);
-  drop.set_training(false);
-  Prng rng(16);
-  Tensor x = random_tensor({2, 8}, rng);
-  const Tensor y = drop.forward(x);
-  for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(DropoutLayer, TrainingZeroesApproxFraction) {
-  Dropout drop(0.3f, 2);
-  Tensor x({1, 10000});
-  x.fill(1.0f);
-  const Tensor y = drop.forward(x);
-  int zeros = 0;
-  for (std::int64_t i = 0; i < y.numel(); ++i) zeros += (y[i] == 0.0f);
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.03);
-  // Kept activations carry the inverted scale.
-  for (std::int64_t i = 0; i < y.numel(); ++i)
-    if (y[i] != 0.0f) {
-      EXPECT_NEAR(y[i], 1.0f / 0.7f, 1e-5f);
-    }
-}
-
-TEST(DropoutLayer, ExpectationPreserved) {
-  Dropout drop(0.5f, 3);
-  Tensor x({1, 20000});
-  x.fill(2.0f);
-  const Tensor y = drop.forward(x);
-  EXPECT_NEAR(y.mean(), 2.0f, 0.1f);
-}
-
-TEST(DropoutLayer, BackwardUsesSameMask) {
-  Dropout drop(0.5f, 4);
-  Tensor x({1, 64});
-  x.fill(1.0f);
-  const Tensor y = drop.forward(x);
-  Tensor g({1, 64});
-  g.fill(1.0f);
-  const Tensor gi = drop.backward(g);
-  for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(gi[i], y[i]);
-}
-
-TEST(DropoutLayer, RejectsBadProbability) {
-  EXPECT_THROW(Dropout(1.0f, 1), Error);
-  EXPECT_THROW(Dropout(-0.1f, 1), Error);
 }
 
 TEST(LinearLayer, ForwardShape) {

@@ -64,7 +64,7 @@ struct Rig {
         dataset(make_tiny_dataset(cfg)),
         init_rng(cfg.seed),
         generator(cfg.gan_grid, cfg.base_channels, init_rng),
-        discriminator(cfg.gan_grid, cfg.base_channels, init_rng, true, cfg.d_dropout),
+        discriminator(cfg.gan_grid, cfg.base_channels, init_rng),
         train_rng(cfg.seed + 1),
         trainer(cfg, generator, discriminator, dataset, sim, train_rng) {}
 };

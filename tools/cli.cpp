@@ -1,42 +1,12 @@
 // ganopc — command-line driver for the mask-optimization flows.
 //
-//   ganopc synth    [--count N] [--seed S] [--out PREFIX]
-//   ganopc sraf     --layout FILE [--out FILE]
-//   ganopc mbopc    --layout FILE [--grid N] [--iters N] [--out PREFIX]
-//                   [--litho-backend abbe|tcc|tcc:K]
-//   ganopc eval     --layout FILE --mask FILE.pgm [--grid N]
-//                   [--litho-backend SPEC]
-//   ganopc train    [--scale NAME] [--dataset FILE] [--out FILE.bin]
-//                   [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
-//                   [--pretrain-iters N] [--train-iters N]
-//   ganopc optimize --layout FILE [--id NAME] [--scale NAME] [--grid N]
-//                   [--iters N] [--generator FILE.bin] [--litho-backend SPEC]
-//                   [--deadline-s SEC] [--max-retries N] [--fallback 0|1]
-//                   [--accept-factor F] [--seed S] [--mask-out FILE.pgm]
-//   ganopc batch    (--list FILE | --clips A,B,...) [--scale NAME] [--grid N]
-//                   [--iters N] [--generator FILE.bin] [--journal FILE]
-//                   [--resume FILE] [--manifest FILE.csv] [--deadline-s SEC]
-//                   [--max-retries N] [--fallback 0|1] [--accept-factor F]
-//                   [--deterministic-manifest 0|1] [--retry-backoff-s SEC]
-//                   [--workers N] [--quarantine-kills K] [--task-deadline-s SEC]
-//                   [--worker-mem-mb MB] [--worker-cpu-s SEC]
-//                   [--litho-backend SPEC]
-//   ganopc serve    [--port N | --socket PATH] [--host ADDR] [--port-file FILE]
-//                   [--workers N] [--max-queue N] [--default-deadline-s SEC]
-//                   [--max-deadline-s SEC] [--read-timeout-s SEC]
-//                   [--write-timeout-s SEC] [--max-body-mb MB] [--max-conns N]
-//                   [--breaker-kills K] [--breaker-cooldown-s SEC]
-//                   [--drain-grace-s SEC] [--spool-dir DIR] [--scale NAME]
-//                   [--grid N] [--iters N] [--generator FILE.bin]
-//                   [--accept-factor F] [--max-retries N] [--fallback 0|1]
-//                   [--quarantine-kills K] [--worker-mem-mb MB]
-//                   [--worker-cpu-s SEC] [--litho-backend SPEC]
-//   ganopc txt2gds  --layout FILE --out FILE.gds [--cell NAME] [--layer N]
-//   ganopc gds2txt  --gds FILE.gds --out FILE.txt [--cell NAME] [--layer N]
-//                   [--clipsize NM]
-//   ganopc report   [--bench-base A[,B,...] --bench-cur A[,B,...]]
-//                   [--ledger-base FILE --ledger-cur FILE]
-//                   [--max-runtime-ratio R] [--max-quality-ratio R]
+//   ganopc <synth|sraf|mbopc|eval|train|optimize|batch|serve|txt2gds|gds2txt|report>
+//          [--flag value ...]
+//
+// The command table at the bottom of this file lists the flags each command
+// reads; `ganopc` without arguments prints it. Any other flag fails the run
+// (exit 1) before the command does any work, and so does a numeric value
+// that does not parse in full.
 //
 // Layout files use the text format of geom::Layout (clip/rect lines), GDSII
 // (.gds extension, loaded with --clipsize window), or contest GLP; masks are
@@ -71,10 +41,11 @@
 // `report` diffs a baseline BENCH_*.json (and/or ledger) pair against a
 // current one and exits 0/4 on the PASS/FAIL regression verdict; CI's
 // regress-gate, supervised-ledger and trace-overhead gates all run it.
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -112,6 +83,21 @@ namespace {
 
 using namespace ganopc;
 
+// Separated list -> items ("A,B" -> {"A","B"}); empty items dropped.
+std::vector<std::string> split_list(const std::string& text, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t end = text.find(sep, start);
+    const std::string item = text.substr(
+        start, end == std::string::npos ? std::string::npos : end - start);
+    if (!item.empty()) out.push_back(item);
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  return out;
+}
+
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -125,11 +111,7 @@ class Args {
 
   std::string get(const std::string& key, const std::string& fallback = "") const {
     auto it = values_.find(key);
-    if (it == values_.end()) {
-      GANOPC_CHECK_MSG(!fallback.empty() || allow_empty_, "missing required --" << key);
-      return fallback;
-    }
-    return it->second;
+    return it == values_.end() ? fallback : it->second;
   }
 
   std::string require(const std::string& key) const {
@@ -139,18 +121,40 @@ class Args {
   }
 
   int get_int(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return get_number(key, fallback, "an integer");
   }
 
   double get_double(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return get_number(key, fallback, "a number");
+  }
+
+  /// Throws on the first flag not in the space-separated `accepted` list.
+  void check_flags(const std::string& cmd, const std::string& accepted) const {
+    const std::vector<std::string> known = split_list(accepted, ' ');
+    for (const auto& [key, value] : values_)
+      GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
+                         std::find(known.begin(), known.end(), key) != known.end(),
+                         "unknown flag --" << key << " for '" << cmd
+                                           << "' (run ganopc without arguments for "
+                                              "each command's flags)");
   }
 
  private:
+  // The whole value must parse: "four" or "8x" is an error, never 0 or 8.
+  template <typename T>
+  T get_number(const std::string& key, T fallback, const char* what) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
+                       ec == std::errc() && end == text.data() + text.size(),
+                       "--" << key << " expects " << what << ", got '" << text << "'");
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
-  bool allow_empty_ = true;
 };
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -272,8 +276,7 @@ int cmd_train(const Args& args) {
 
   Prng rng(cfg.seed);
   core::Generator generator(cfg.gan_grid, cfg.base_channels, rng);
-  core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng, true,
-                                    cfg.d_dropout);
+  core::Discriminator discriminator(cfg.gan_grid, cfg.base_channels, rng);
   Prng train_rng(cfg.seed + 1);
   core::GanOpcTrainer trainer(cfg, generator, discriminator, dataset, sim, train_rng);
 
@@ -327,21 +330,6 @@ int cmd_train(const Args& args) {
   std::printf("saved %s — load it with `ganopc optimize --generator %s`\n",
               out.c_str(), out.c_str());
   return 0;
-}
-
-// Comma-separated list -> items ("A,B" -> {"A","B"}); empty items dropped.
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
 }
 
 // One Engine session configured from the shared command-line vocabulary —
@@ -443,7 +431,7 @@ int cmd_batch(const Args& args) {
       if (!line.empty() && line[0] != '#') paths.push_back(line);
     }
   } else {
-    paths = split_csv(args.require("clips"));
+    paths = split_list(args.require("clips"), ',');
   }
   GANOPC_CHECK_MSG(!paths.empty(), "no clips given (use --list or --clips)");
 
@@ -577,8 +565,8 @@ int cmd_report(const Args& args) {
   thresholds.max_quality_ratio =
       args.get_double("max-quality-ratio", thresholds.max_quality_ratio);
 
-  const std::vector<std::string> bench_base = split_csv(args.get("bench-base", ""));
-  const std::vector<std::string> bench_cur = split_csv(args.get("bench-cur", ""));
+  const std::vector<std::string> bench_base = split_list(args.get("bench-base", ""), ',');
+  const std::vector<std::string> bench_cur = split_list(args.get("bench-cur", ""), ',');
   GANOPC_CHECK_MSG(bench_base.size() == bench_cur.size(),
                    "--bench-base and --bench-cur need the same number of files");
   const std::string ledger_base = args.get("ledger-base", "");
@@ -598,16 +586,6 @@ int cmd_report(const Args& args) {
                          obs::read_ledger(ledger_cur), thresholds, report);
   std::printf("%s", report.summary().c_str());
   return report.pass ? 0 : 4;
-}
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: ganopc <synth|sraf|mbopc|eval|train|optimize|batch|serve|txt2gds|gds2txt|report> [--flag value ...]\n"
-               "global flags: --metrics-out FILE (Prometheus text, or JSON when\n"
-               "FILE ends in .json), --trace-out FILE (chrome://tracing JSON)\n"
-               "and --ledger-out FILE (JSONL run ledger + flight recorder);\n"
-               "litho commands accept --litho-backend abbe|tcc|tcc:K\n"
-               "see tools/cli.cpp header for per-command flags\n");
 }
 
 // Observability sink (DESIGN.md §10): --metrics-out / --trace-out work on
@@ -701,20 +679,59 @@ class LedgerSink {
   std::string path_;
 };
 
-int dispatch(const std::string& cmd, const Args& args) {
-  if (cmd == "synth") return cmd_synth(args);
-  if (cmd == "sraf") return cmd_sraf(args);
-  if (cmd == "mbopc") return cmd_mbopc(args);
-  if (cmd == "eval") return cmd_eval(args);
-  if (cmd == "train") return cmd_train(args);
-  if (cmd == "optimize") return cmd_optimize(args);
-  if (cmd == "batch") return cmd_batch(args);
-  if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "txt2gds") return cmd_txt2gds(args);
-  if (cmd == "gds2txt") return cmd_gds2txt(args);
-  if (cmd == "report") return cmd_report(args);
-  usage();
-  return 2;
+// Flags shared by several commands, and those every command accepts:
+// --metrics-out FILE (Prometheus text, JSON when FILE is *.json),
+// --trace-out FILE (chrome://tracing spans) and --ledger-out FILE (JSONL run
+// ledger plus flight recorder; DESIGN.md §10-11).
+const std::string kLayoutFlags = "layout clipsize cell layer";
+const std::string kEngineFlags =
+    "scale grid iters litho-backend generator deadline-s max-retries fallback "
+    "accept-factor seed retry-backoff-s";
+const std::string kGlobalFlags = "metrics-out trace-out ledger-out";
+
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::string flags;  ///< space-separated, without the leading "--"
+};
+
+const std::vector<Command> kCommands = {
+    {"synth", cmd_synth, "count seed out"},
+    {"sraf", cmd_sraf, kLayoutFlags + " out"},
+    {"mbopc", cmd_mbopc, kLayoutFlags + " grid iters out litho-backend"},
+    {"eval", cmd_eval, kLayoutFlags + " mask grid litho-backend"},
+    {"train", cmd_train,
+     "scale dataset out checkpoint checkpoint-every resume pretrain-iters train-iters"},
+    {"optimize", cmd_optimize, kEngineFlags + " layout id mask-out out"},
+    {"batch", cmd_batch,
+     kEngineFlags + " list clips journal resume manifest deterministic-manifest "
+                    "workers quarantine-kills task-deadline-s worker-mem-mb worker-cpu-s"},
+    {"serve", cmd_serve,
+     kEngineFlags + " port socket host port-file workers max-queue default-deadline-s "
+                    "max-deadline-s read-timeout-s write-timeout-s max-body-mb max-conns "
+                    "breaker-kills breaker-cooldown-s drain-grace-s spool-dir "
+                    "quarantine-kills heartbeat-timeout-s worker-mem-mb worker-cpu-s"},
+    {"txt2gds", cmd_txt2gds, "layout out cell layer"},
+    {"gds2txt", cmd_gds2txt, "gds out cell layer clipsize"},
+    {"report", cmd_report,
+     "bench-base bench-cur ledger-base ledger-cur max-runtime-ratio max-quality-ratio"},
+};
+
+void usage() {
+  std::fprintf(stderr, "usage: ganopc <command> [--flag value ...]\n");
+  for (const Command& c : kCommands) {
+    std::string line = "  " + std::string(c.name);
+    line.resize(10, ' ');
+    for (const std::string& flag : split_list(c.flags, ' ')) {
+      if (line.size() + flag.size() + 3 > 80) {
+        std::fprintf(stderr, "%s\n", line.c_str());
+        line.assign(10, ' ');
+      }
+      line += " --" + flag;
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+  }
+  std::fprintf(stderr, "every command also accepts --metrics-out, --trace-out and --ledger-out\n");
 }
 
 }  // namespace
@@ -725,12 +742,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands)
+    if (cmd == c.name) command = &c;
+  if (command == nullptr) {
+    usage();
+    return 2;
+  }
   try {
     const Args args(argc, argv, 2);
+    args.check_flags(cmd, command->flags + " " + kGlobalFlags);
     const ObsSink obs_sink(args);
     LedgerSink ledger(cmd, args, argc, argv);
     try {
-      const int rc = dispatch(cmd, args);
+      const int rc = command->run(args);
       ledger.finish(rc);
       return rc;
     } catch (const std::exception& e) {
