@@ -249,10 +249,6 @@ bool Engine::attempt_ilt(BatchStage stage, const geom::Grid& target,
   if (std::isfinite(remaining_s))
     icfg.deadline_s =
         icfg.deadline_s > 0.0 ? std::min(icfg.deadline_s, remaining_s) : remaining_s;
-  // The session workspace: warm across submits, so steady-state ILT solves
-  // allocate nothing (the engine contract test pins this via the
-  // `litho.workspace.grows` counter).
-  icfg.workspace = &ilt_workspace_;
   const ilt::IltEngine engine(sim_, icfg);
 
   geom::Grid init =

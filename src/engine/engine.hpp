@@ -4,8 +4,9 @@
 // An Engine is one long-lived session that owns everything a mask
 // optimization needs: the validated GanOpcConfig, the lithography simulator
 // (built once through a pluggable litho backend — Abbe reference kernels or
-// truncated-TCC eigen-kernels), the optional generator weights, and a
-// persistent litho workspace whose buffers stay warm across submissions.
+// truncated-TCC eigen-kernels) and the optional generator weights. Litho
+// scratch is the calling thread's `litho::thread_workspace()`, whose buffers
+// stay warm across submissions.
 // `submit(clip, options) -> MaskResult` is the single entry point; the CLI's
 // one-shot `ganopc optimize`, the batch runner, and the serve daemon's
 // sandboxed workers all call it, so a clip produces bit-identical results no
@@ -24,10 +25,9 @@
 // corrupt clip file, a numeric fault, a blown deadline each land as a typed
 // Status on the returned row.
 //
-// An Engine is NOT thread-safe: submissions share the session workspace, so
-// callers serialize submit() (batch mode runs clips sequentially per process;
-// supervised/serve workers are separate forked processes, each with its own
-// copy of the session).
+// An Engine is NOT thread-safe: callers serialize submit() (batch mode runs
+// clips sequentially per process; supervised/serve workers are separate
+// forked processes, each with its own copy of the session).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,6 @@
 #include "geometry/layout.hpp"
 #include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
-#include "litho/workspace.hpp"
 
 namespace ganopc::engine {
 
@@ -152,11 +151,6 @@ class Engine {
   litho::LithoSim sim_;
   std::unique_ptr<core::Generator> owned_generator_;
   core::Generator* generator_ = nullptr;
-  /// Session-persistent ILT scratch: buffers grow to the session geometry on
-  /// the first submit and are reused verbatim afterwards — the engine
-  /// contract test asserts `litho.workspace.grows` stays flat in steady
-  /// state. Mutable because the workspace is scratch, not observable state.
-  mutable litho::LithoWorkspace ilt_workspace_;
 };
 
 }  // namespace ganopc::engine

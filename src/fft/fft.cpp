@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "fft/fft_kernels.hpp"
 #include "fft/plan.hpp"
+#include "obs/metrics.hpp"
 
 namespace ganopc::fft {
 
@@ -24,6 +25,14 @@ namespace {
 /// The butterfly kernel for the active dispatch level. Resolved per
 /// transform so tests can flip `set_simd_level` between calls.
 inline FftInplaceFn active_fft() { return fft_inplace_for(simd_level()); }
+
+/// Add `n` 1-D transforms to the `fft.transforms` work counter: one call per
+/// pass, and nothing at all while metrics are off.
+void count_transforms(std::size_t n) {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter& transforms = obs::counter("fft.transforms");
+  transforms.inc(n);
+}
 
 // Split the spectrum Z of the packed row z = x + i*y (x, y real) into the
 // spectra of x and y:  X[k] = (Z[k] + conj(Z[n-k]))/2,
@@ -60,35 +69,33 @@ void row_pass(cfloat* data, std::size_t width, std::size_t count, Index index,
               bool inverse) {
   const FftPlan& plan = plan_for(width);
   const FftInplaceFn kernel = active_fft();
+  count_transforms(count);
   parallel_for_chunks(0, count, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) kernel(data + index(i) * width, plan, inverse);
   }, /*serial_threshold=*/8);
 }
 
-/// In-place 1-D transforms of columns index(0..count-1), each gathered into a
-/// contiguous buffer to keep memory access linear. With `live_rows`, only
-/// those rows are read: every other row enters the transform as an exact
-/// zero, whatever it holds. All rows of a transformed column are written.
+/// In-place 1-D transforms of columns index(0..count-1), four side by side
+/// per fft_cols4 group; a tail group of fewer columns leaves its unused lanes
+/// out. With `live_rows`, only those rows are read: every other row enters
+/// the transform as an exact zero, whatever it holds. All rows of a
+/// transformed column are written.
 template <typename Index>
 void col_pass(cfloat* data, std::size_t height, std::size_t width, std::size_t count,
               Index index, bool inverse,
               const std::span<const std::size_t>* live_rows = nullptr) {
   const FftPlan& plan = plan_for(height);
-  const FftInplaceFn kernel = active_fft();
-  parallel_for_chunks(0, count, [&](std::size_t i0, std::size_t i1) {
-    std::vector<cfloat> tmp(height);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const std::size_t c = index(i);
-      if (live_rows != nullptr) {
-        std::fill(tmp.begin(), tmp.end(), cfloat{});
-        for (const std::size_t r : *live_rows) tmp[r] = data[r * width + c];
-      } else {
-        for (std::size_t r = 0; r < height; ++r) tmp[r] = data[r * width + c];
-      }
-      kernel(tmp.data(), plan, inverse);
-      for (std::size_t r = 0; r < height; ++r) data[r * width + c] = tmp[r];
+  const FftCols4Fn kernel = fft_cols4_for(simd_level());
+  count_transforms(count);
+  parallel_for_chunks(0, (count + 3) / 4, [&](std::size_t g0, std::size_t g1) {
+    std::vector<cfloat> scratch(4 * height);
+    ColumnGroup group{data, width, {}, 4, live_rows};
+    for (std::size_t g = g0; g < g1; ++g) {
+      group.lanes = std::min<std::size_t>(4, count - 4 * g);
+      for (std::size_t j = 0; j < group.lanes; ++j) group.cols[j] = index(4 * g + j);
+      kernel(group, plan, inverse, scratch.data());
     }
-  }, /*serial_threshold=*/8);
+  }, /*serial_threshold=*/2);
 }
 
 /// irfft_2d whose column pass covers only columns [0, cols): the columns in
@@ -99,6 +106,7 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
   const FftInplaceFn kernel = active_fft();
   const FftPlan& row_plan = plan_for(width);
   if (height == 1) {
+    count_transforms(1);
     kernel(spec, row_plan, true);
     for (std::size_t c = 0; c < width; ++c) out[c] = spec[c].real();
     return;
@@ -113,6 +121,7 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
   // real), so two rows r, r+1 pack into one inverse transform whose real and
   // imaginary parts are the two output rows. Upper-column bins are rebuilt
   // from the mirror as they are consumed.
+  count_transforms(height / 2);
   parallel_for_chunks(0, height / 2, [&](std::size_t p0, std::size_t p1) {
     std::vector<cfloat> z(width);
     for (std::size_t p = p0; p < p1; ++p) {
@@ -140,6 +149,7 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
 
 void fft_1d(std::vector<cfloat>& data, bool inverse) {
   GANOPC_CHECK_MSG(is_pow2(data.size()), "FFT size must be a power of two");
+  count_transforms(1);
   active_fft()(data.data(), plan_for(data.size()), inverse);
 }
 
@@ -163,11 +173,13 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
   const FftPlan& row_plan = plan_for(width);
   if (height == 1) {
     for (std::size_t c = 0; c < width; ++c) out[c] = cfloat(in[c], 0.0f);
+    count_transforms(1);
     kernel(out, row_plan, false);
     return;
   }
   // Row pass at half cost: pack two real rows r, r+1 into one complex row,
   // transform once, untangle via Hermitian symmetry into both row spectra.
+  count_transforms(height / 2);
   parallel_for_chunks(0, height / 2, [&](std::size_t p0, std::size_t p1) {
     std::vector<cfloat> z(width);
     for (std::size_t p = p0; p < p1; ++p) {

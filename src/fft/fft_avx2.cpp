@@ -11,6 +11,12 @@
 // products. Butterfly stages with half >= 4 consume the plan's contiguous
 // per-stage twiddles four at a time; the two smallest stages (half 1 and 2)
 // use fixed shuffle patterns since their twiddles are +-1 / -+i.
+//
+// fft_cols4 runs the same stages on four columns at once: one row of the
+// group is one vector, so every butterfly is a whole-vector add/sub and every
+// twiddle a broadcast. Its constants and operand orders copy fft_inplace_avx2
+// (the len-4 literals (1,0) and (0,-+1), xor conjugation for the inverse,
+// cmul4(data, twiddle)), which makes each lane bitwise that kernel's output.
 #include "fft/fft_kernels.hpp"
 
 #include "fft/plan.hpp"
@@ -128,6 +134,77 @@ void fft_inplace_avx2(cfloat* data, const FftPlan& plan, bool inverse) {
   }
 }
 
+void fft_cols4_avx2(const ColumnGroup& g, const FftPlan& plan, bool inverse,
+                    cfloat* scratch) {
+  const std::size_t n = plan.n;
+  gather_cols4(g, plan, scratch);
+  if (n < 4) {
+    // Tiny transforms: the row kernel per lane (bitrev is the identity here,
+    // so the gathered order is already its input order).
+    cfloat lane[2];
+    for (std::size_t j = 0; j < 4; ++j) {
+      for (std::size_t r = 0; r < n; ++r) lane[r] = scratch[4 * r + j];
+      fft_inplace_avx2(lane, plan, inverse);
+      for (std::size_t r = 0; r < n; ++r) scratch[4 * r + j] = lane[r];
+    }
+    scatter_cols4(g, n, scratch);
+    return;
+  }
+  auto* b = reinterpret_cast<float*>(scratch);  // row p is the vector at b + 8p
+  const auto row = [b](std::size_t p) { return b + 8 * p; };
+  const __m256 neg = _mm256_set1_ps(-0.0f);
+
+  // Stage len=2 (w = 1): u + v and u + (-v), as the row kernel's sign xor.
+  for (std::size_t p = 0; p < n; p += 2) {
+    const __m256 u = _mm256_loadu_ps(row(p));
+    const __m256 v = _mm256_loadu_ps(row(p + 1));
+    _mm256_storeu_ps(row(p), _mm256_add_ps(u, v));
+    _mm256_storeu_ps(row(p + 1), _mm256_add_ps(u, _mm256_xor_ps(v, neg)));
+  }
+
+  // Stage len=4: twiddles (1,0) and (0,-+1) exactly as the row kernel's wvec.
+  {
+    const float w1im = inverse ? 1.0f : -1.0f;
+    const __m256 w0 = _mm256_setr_ps(1.0f, 0.0f, 1.0f, 0.0f, 1.0f, 0.0f, 1.0f, 0.0f);
+    const __m256 w1 = _mm256_setr_ps(0.0f, w1im, 0.0f, w1im, 0.0f, w1im, 0.0f, w1im);
+    for (std::size_t p = 0; p < n; p += 4) {
+      const __m256 a0 = _mm256_loadu_ps(row(p));
+      const __m256 a1 = _mm256_loadu_ps(row(p + 1));
+      const __m256 v0 = cmul4(_mm256_loadu_ps(row(p + 2)), w0);
+      const __m256 v1 = cmul4(_mm256_loadu_ps(row(p + 3)), w1);
+      _mm256_storeu_ps(row(p), _mm256_add_ps(a0, v0));
+      _mm256_storeu_ps(row(p + 1), _mm256_add_ps(a1, v1));
+      _mm256_storeu_ps(row(p + 2), _mm256_add_ps(a0, _mm256_xor_ps(v0, neg)));
+      _mm256_storeu_ps(row(p + 3), _mm256_add_ps(a1, _mm256_xor_ps(v1, neg)));
+    }
+  }
+
+  // General stages (half >= 4): one broadcast twiddle per butterfly column.
+  const __m256 cmask = conj_mask();
+  for (std::size_t len = 8; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const cfloat* stw = plan.stage_twiddle.data() + (half - 1);
+    for (std::size_t k = 0; k < half; ++k) {
+      __m256 w = _mm256_castpd_ps(
+          _mm256_broadcast_sd(reinterpret_cast<const double*>(stw + k)));
+      if (inverse) w = _mm256_xor_ps(w, cmask);
+      for (std::size_t i = k; i < n; i += len) {
+        const __m256 u = _mm256_loadu_ps(row(i));
+        const __m256 v = cmul4(_mm256_loadu_ps(row(i + half)), w);
+        _mm256_storeu_ps(row(i), _mm256_add_ps(u, v));
+        _mm256_storeu_ps(row(i + half), _mm256_sub_ps(u, v));
+      }
+    }
+  }
+
+  if (inverse) {
+    const __m256 s = _mm256_set1_ps(1.0f / static_cast<float>(n));
+    for (std::size_t p = 0; p < n; ++p)
+      _mm256_storeu_ps(row(p), _mm256_mul_ps(_mm256_loadu_ps(row(p)), s));
+  }
+  scatter_cols4(g, n, scratch);
+}
+
 namespace {
 
 void cmul_avx2(const cfloat* a, const cfloat* b, cfloat* out, std::size_t n) {
@@ -206,6 +283,11 @@ namespace ganopc::fft {
 
 void fft_inplace_avx2(cfloat* a, const FftPlan& plan, bool inverse) {
   fft_inplace_scalar(a, plan, inverse);
+}
+
+void fft_cols4_avx2(const ColumnGroup& group, const FftPlan& plan, bool inverse,
+                    cfloat* scratch) {
+  fft_cols4_scalar(group, plan, inverse, scratch);
 }
 
 const VecOps& vec_ops_avx2() { return vec_ops(SimdLevel::kScalar); }

@@ -173,11 +173,11 @@ IltResult IltEngine::optimize(const geom::Grid& target,
   }
   // One workspace and one gradient grid serve every iteration: after the
   // first step the litho engine allocates nothing. The dose corners share
-  // one forward-field computation inside gradient_into. A session (Engine)
-  // passes its own persistent workspace so even the first step of later
-  // solves reuses warm buffers.
-  litho::LithoWorkspace local_ws;
-  litho::LithoWorkspace& ws = config_.workspace ? *config_.workspace : local_ws;
+  // one forward-field computation inside gradient_into. The default is the
+  // calling thread's workspace, which the L2 checks and PV band also use, so
+  // later solves on the same thread start with warm buffers.
+  litho::LithoWorkspace& ws =
+      config_.workspace ? *config_.workspace : litho::thread_workspace();
   geom::Grid grad_mb;
   std::vector<float> grad_p(npx);
   for (; reason == TerminationReason::kConverged && iter < config_.max_iterations;

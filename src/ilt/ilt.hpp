@@ -58,8 +58,8 @@ struct IltConfig {
   float divergence_factor = 0.0f;
 
   /// Optional caller-owned litho workspace reused across optimize() calls
-  /// (nullptr = per-call scratch). An Engine session points this at its
-  /// persistent workspace so steady-state submits allocate nothing; the
+  /// (nullptr = the calling thread's `litho::thread_workspace()`, which
+  /// stays warm across solves, so steady-state calls allocate nothing). The
   /// buffers only grow, so one workspace serves any same-or-smaller grid.
   /// Not thread-safe: a shared workspace serializes optimize() calls.
   litho::LithoWorkspace* workspace = nullptr;

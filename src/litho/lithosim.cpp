@@ -19,13 +19,6 @@ namespace {
 
 using fft::cfloat;
 
-/// Per-thread scratch for the workspace-free convenience wrappers. Worker
-/// threads of the shared pool keep their workspace warm across batches.
-LithoWorkspace& tls_workspace() {
-  static thread_local LithoWorkspace ws;
-  return ws;
-}
-
 /// Point `g` at the simulator geometry without reallocating when the pixel
 /// count already matches.
 void reshape_like(geom::Grid& g, std::int32_t n, std::int32_t pixel_nm,
@@ -111,6 +104,11 @@ float calibrate_threshold(const SocsKernels& kernels) {
 
 }  // namespace
 
+LithoWorkspace& thread_workspace() {
+  static thread_local LithoWorkspace ws;
+  return ws;
+}
+
 LithoSim::LithoSim(const OpticsConfig& optics, const ResistConfig& resist,
                    std::int32_t grid_size, std::int32_t pixel_nm)
     : kernels_(optics, grid_size, pixel_nm), resist_(resist) {
@@ -141,7 +139,7 @@ void LithoSim::aerial_into(const geom::Grid& mask, geom::Grid& aerial_image,
 
 geom::Grid LithoSim::aerial(const geom::Grid& mask) const {
   geom::Grid out;
-  aerial_into(mask, out, tls_workspace());
+  aerial_into(mask, out, thread_workspace());
   return out;
 }
 
@@ -206,7 +204,7 @@ LithoSim::ForwardResult LithoSim::forward_relaxed(const geom::Grid& mask_b,
 LithoSim::ForwardResult LithoSim::forward_relaxed(const geom::Grid& mask_b,
                                                   const geom::Grid& target,
                                                   float dose) const {
-  return forward_relaxed(mask_b, target, dose, tls_workspace());
+  return forward_relaxed(mask_b, target, dose, thread_workspace());
 }
 
 void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
@@ -294,7 +292,7 @@ geom::Grid LithoSim::gradient(const geom::Grid& mask_b, const geom::Grid& target
                               float dose) const {
   geom::Grid grad;
   const float doses[1] = {dose};
-  gradient_into(mask_b, target, doses, grad, tls_workspace());
+  gradient_into(mask_b, target, doses, grad, thread_workspace());
   return grad;
 }
 

@@ -10,8 +10,9 @@
 // `aerial_into` / `gradient_into` calls allocate nothing.
 //
 // A workspace is NOT thread-safe: it belongs to one simulation call at a
-// time. The convenience wrappers in LithoSim use one workspace per thread;
-// batch APIs give each worker its own.
+// time. Each thread owns one (`thread_workspace`): the convenience wrappers
+// in LithoSim and the ILT loop all use the calling thread's, so a thread
+// holds one set of litho buffers however many of them it calls.
 #pragma once
 
 #include <cstddef>
@@ -80,5 +81,10 @@ class LithoWorkspace {
   /// Aerial image scratch for gradient calls (the caller never sees it).
   geom::Grid aerial_scratch;
 };
+
+/// The calling thread's workspace, created on first use and kept warm for
+/// the thread's lifetime. Worker threads of the shared pool keep theirs warm
+/// across batches.
+LithoWorkspace& thread_workspace();
 
 }  // namespace ganopc::litho

@@ -329,6 +329,150 @@ TEST(FftKernelConformance, ArmsAreRunToRunDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
+// Batched column kernel: fft_cols4 lane by lane against fft_inplace, bitwise
+// ---------------------------------------------------------------------------
+
+/// The dispatch arms present on this machine.
+std::vector<SimdLevel> present_arms() {
+  std::vector<SimdLevel> arms = {SimdLevel::kScalar};
+  if (have_avx2()) arms.push_back(SimdLevel::kAvx2);
+  return arms;
+}
+
+/// Column `c` of an h x w grid run through `row_kernel`, reading the rows
+/// outside `live` (when given) as zero.
+std::vector<cfloat> reference_column(fft::FftInplaceFn row_kernel, const cfloat* grid,
+                                     std::size_t h, std::size_t w, std::size_t c,
+                                     const std::vector<std::size_t>* live, bool inverse) {
+  std::vector<cfloat> col(h, cfloat{});
+  if (live != nullptr) {
+    for (const std::size_t r : *live) col[r] = grid[r * w + c];
+  } else {
+    for (std::size_t r = 0; r < h; ++r) col[r] = grid[r * w + c];
+  }
+  row_kernel(col.data(), fft::plan_for(h), inverse);
+  return col;
+}
+
+TEST(FftCols4Conformance, EveryLaneIsBitwiseTheRowKernel) {
+  const std::size_t w = 11;
+  // Dense (contiguous) groups, spread-out listed columns, and tail groups of
+  // 3, 2 and 1 lanes, contiguous and spread.
+  const std::vector<std::vector<std::size_t>> groups = {
+      {0, 1, 2, 3}, {7, 8, 9, 10}, {0, 3, 6, 10}, {8, 9, 10}, {1, 5, 9}, {4, 5}, {2, 10}, {6}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const SimdLevel lvl : present_arms()) {
+    const fft::FftCols4Fn cols4 = fft::fft_cols4_for(lvl);
+    const fft::FftInplaceFn row_kernel = fft::fft_inplace_for(lvl);
+    Prng rng(207);
+    for (std::size_t h = 1; h <= 1024; h *= 2) {
+      std::vector<std::size_t> live;
+      for (std::size_t r = 0; r < h; ++r)
+        if (rng.uniform(0.0, 1.0) < 0.3) live.push_back(r);
+      const std::span<const std::size_t> live_span(live);
+      for (const bool inverse : {false, true}) {
+        for (const bool pruned : {false, true}) {
+          for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+            const std::vector<std::size_t>& cols = groups[gi];
+            // Unaligned grid and scratch: start 0, 1 or 3 complex past the
+            // allocation.
+            const std::size_t off = kOffsets[gi % std::size(kOffsets)];
+            SCOPED_TRACE(::testing::Message()
+                         << simd_level_name(lvl) << " h=" << h << " inverse=" << inverse
+                         << " pruned=" << pruned << " group=" << gi << " off=" << off);
+            std::vector<cfloat> buf = random_complex(rng, h * w + off);
+            cfloat* grid = buf.data() + off;
+            // A pruned transform must never read an unlisted row.
+            if (pruned)
+              for (std::size_t r = 0; r < h; ++r)
+                if (!std::binary_search(live.begin(), live.end(), r))
+                  for (std::size_t c = 0; c < w; ++c) grid[r * w + c] = {nan, nan};
+            const std::vector<cfloat> before = buf;
+
+            fft::ColumnGroup g;
+            g.data = grid;
+            g.width = w;
+            g.lanes = cols.size();
+            std::copy(cols.begin(), cols.end(), g.cols);
+            g.live_rows = pruned ? &live_span : nullptr;
+            std::vector<cfloat> scratch(4 * h + off);
+            cols4(g, fft::plan_for(h), inverse, scratch.data() + off);
+
+            for (std::size_t c = 0; c < w; ++c) {
+              const bool listed = std::find(cols.begin(), cols.end(), c) != cols.end();
+              if (listed) {
+                const std::vector<cfloat> ref = reference_column(
+                    row_kernel, before.data() + off, h, w, c, pruned ? &live : nullptr, inverse);
+                for (std::size_t r = 0; r < h; ++r)
+                  ASSERT_EQ(0, std::memcmp(&grid[r * w + c], &ref[r], sizeof(cfloat)))
+                      << "column " << c << " row " << r;
+              } else {
+                for (std::size_t r = 0; r < h; ++r)
+                  ASSERT_EQ(0, std::memcmp(&grid[r * w + c], &before[off + r * w + c],
+                                           sizeof(cfloat)))
+                      << "unlisted column " << c << " written at row " << r;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FftCols4Conformance, TwoDimensionalPassesAreBitwisePerColumnTransforms) {
+  // col_pass end to end: grouping, tail groups and thread chunking must not
+  // move a bit against one row-kernel transform per row, then per column.
+  const std::size_t dims[][2] = {{2, 8}, {16, 4}, {32, 64}, {256, 32}};
+  for (const SimdLevel lvl : present_arms()) {
+    LevelGuard guard;
+    set_simd_level(lvl);
+    const fft::FftInplaceFn row_kernel = fft::fft_inplace_for(lvl);
+    for (const std::size_t threads : {1u, 3u}) {
+      ThreadPool::reset(threads);
+      Prng rng(208);
+      for (const auto& hw : dims) {
+        const std::size_t h = hw[0], w = hw[1], npx = h * w;
+        SCOPED_TRACE(::testing::Message() << simd_level_name(lvl) << " threads=" << threads
+                                          << " " << h << "x" << w);
+        for (const bool inverse : {false, true}) {
+          const std::vector<cfloat> x = random_complex(rng, npx);
+          std::vector<cfloat> ref = x, got = x;
+          for (std::size_t r = 0; r < h; ++r) row_kernel(ref.data() + r * w, fft::plan_for(w), inverse);
+          const std::vector<cfloat> rows_done = ref;
+          for (std::size_t c = 0; c < w; ++c) {
+            const std::vector<cfloat> col =
+                reference_column(row_kernel, rows_done.data(), h, w, c, nullptr, inverse);
+            for (std::size_t r = 0; r < h; ++r) ref[r * w + c] = col[r];
+          }
+          fft::fft_2d(got.data(), h, w, inverse);
+          EXPECT_EQ(0, std::memcmp(got.data(), ref.data(), npx * sizeof(cfloat)))
+              << "fft_2d inverse=" << inverse;
+        }
+        // Listed columns leave tail groups of every size.
+        for (const std::size_t ncols : {std::size_t{1}, std::size_t{2}, std::size_t{3}, w - 1}) {
+          std::vector<std::size_t> cols;
+          for (std::size_t c = 0; c < w && cols.size() < ncols; c += 1 + (c % 2)) cols.push_back(c);
+          const std::vector<cfloat> x = random_complex(rng, npx);
+          std::vector<cfloat> rows_done = x, got = x;
+          for (std::size_t r = 0; r < h; ++r)
+            row_kernel(rows_done.data() + r * w, fft::plan_for(w), false);
+          fft::fft_2d_cols(got.data(), h, w, cols);
+          for (const std::size_t c : cols) {
+            const std::vector<cfloat> col =
+                reference_column(row_kernel, rows_done.data(), h, w, c, nullptr, false);
+            for (std::size_t r = 0; r < h; ++r)
+              ASSERT_EQ(0, std::memcmp(&got[r * w + c], &col[r], sizeof(cfloat)))
+                  << "fft_2d_cols, " << cols.size() << " columns, column " << c;
+          }
+        }
+      }
+    }
+  }
+  ThreadPool::reset(ThreadPool::default_thread_count());
+}
+
+// ---------------------------------------------------------------------------
 // Band-limited transforms: ifft_2d_rows / fft_2d_cols against fft_2d
 // ---------------------------------------------------------------------------
 

@@ -9,6 +9,7 @@
 #include "common/prng.hpp"
 #include "gradcheck.hpp"
 #include "litho/lithosim.hpp"
+#include "obs/metrics.hpp"
 
 namespace ganopc::litho {
 namespace {
@@ -67,6 +68,40 @@ TEST(LithoGradient, WorkspacePathMatchesWrapperBitExactly) {
                            via_ws.data.size() * sizeof(float)));
   // Warm workspace: the second call must not have grown the scratch buffers.
   EXPECT_EQ(ws.bytes(), before);
+}
+
+// The `fft.transforms` work counter pins the band-limited transform count of
+// one single-dose gradient (DESIGN.md §7): the mask rfft_2d (n/2 packed rows,
+// n/2 + 1 columns), then per kernel the forward field (R + n), the adjoint's
+// column-pruned forward transform (n + C) and its row-pruned inverse (R + n).
+// Extra transforms fail here on any host, however fast each one got.
+TEST(LithoGradient, TransformCounterMatchesKernelSupports) {
+  const std::int32_t n = 256;
+  const LithoSim sim(OpticsConfig{}, ResistConfig{}, n, 8);
+  const geom::Grid target = center_block(n, 8);
+  const geom::Grid mask = soft_mask(target);
+  const auto un = static_cast<std::size_t>(n);
+  std::uint64_t expected = un / 2 + (un / 2 + 1);
+  const SocsKernels& kernels = sim.kernels();
+  for (int k = 0; k < kernels.count(); ++k) {
+    const auto& fwd = kernels.support(k);
+    const auto& adj = kernels.support_flipped(k);
+    expected += (fwd.rows.size() + un) + (un + adj.cols.size()) + (adj.rows.size() + un);
+  }
+  const float dose[1] = {1.0f};
+  geom::Grid grad;
+  obs::Counter& transforms = obs::counter("fft.transforms");
+
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = transforms.value();
+  sim.gradient_into(mask, target, dose, grad, thread_workspace());
+  const std::uint64_t counted = transforms.value() - before;
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(counted, expected);
+
+  // Counting is off with metrics off.
+  sim.gradient_into(mask, target, dose, grad, thread_workspace());
+  EXPECT_EQ(transforms.value(), before + counted);
 }
 
 TEST(LithoGradient, MultiDoseMatchesFiniteDifferences) {
