@@ -127,7 +127,7 @@ void UNetBackbone::on_mode_change() {
 
 Generator::Generator(std::int64_t image_size, std::int64_t base_channels, Prng& rng,
                      GeneratorArch arch)
-    : image_size_(image_size), arch_(arch) {
+    : image_size_(image_size) {
   GANOPC_CHECK_MSG(image_size % 8 == 0, "generator image size must divide by 8");
   GANOPC_CHECK(base_channels > 0);
   if (arch == GeneratorArch::UNet) {

@@ -58,14 +58,12 @@ class Generator {
   std::vector<nn::Param> buffers() { return net_->buffers(); }
   void set_training(bool training) { net_->set_training(training); }
   std::int64_t image_size() const { return image_size_; }
-  GeneratorArch arch() const { return arch_; }
 
   /// Single-image convenience used by the inference flow: grid in, mask out.
   geom::Grid infer(const geom::Grid& target);
 
  private:
   std::int64_t image_size_;
-  GeneratorArch arch_;
   std::unique_ptr<nn::Layer> net_;
 };
 

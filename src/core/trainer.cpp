@@ -125,125 +125,67 @@ void GanOpcTrainer::rollback_step(const StepSnapshot& snapshot, TrainStats& stat
                                      << "), lr scale now " << lr_scale_);
 }
 
-TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& options) {
+TrainStats GanOpcTrainer::run_phase(TrainPhase phase, int iterations,
+                                    const TrainRunOptions& options, const StepFn& step) {
+  const bool adversarial = phase == TrainPhase::Adversarial;
+  const char* call = adversarial ? "train" : "pretrain";
   GANOPC_CHECK(iterations >= 0);
   GANOPC_CHECK(options.checkpoint_every >= 0);
+  // Resume rule: a later phase's checkpoint is rejected, the same phase's
+  // continues where it stopped, and the earlier phase's must be complete;
+  // this phase then starts with an empty history.
   int start = 0;
   if (resume_pending_) {
-    GANOPC_CHECK_MSG(phase_ != TrainPhase::Adversarial,
+    GANOPC_CHECK_MSG(phase_ <= phase,
                      "resumed checkpoint is in the adversarial phase; call train()");
-    GANOPC_CHECK_MSG(next_iteration_ <= iterations,
-                     "resumed pretrain checkpoint is at iteration "
-                         << next_iteration_ << ", beyond the requested " << iterations);
-    start = next_iteration_;
+    if (phase_ == phase) {
+      GANOPC_CHECK_MSG(next_iteration_ <= iterations,
+                       "resumed " << (adversarial ? "adversarial" : "pretrain")
+                                  << " checkpoint is at iteration " << next_iteration_
+                                  << ", beyond the requested " << iterations);
+      start = next_iteration_;
+    } else {
+      GANOPC_CHECK_MSG(next_iteration_ >= total_iterations_,
+                       "resumed checkpoint is mid-pretrain (iteration "
+                           << next_iteration_ << "/" << total_iterations_
+                           << "); run pretrain() first");
+      phase_stats_ = TrainStats{};
+    }
     resume_pending_ = false;
   } else {
     phase_stats_ = TrainStats{};
   }
-  phase_ = TrainPhase::Pretrain;
+  phase_ = phase;
   total_iterations_ = iterations;
   next_iteration_ = start;
 
   TrainStats& stats = phase_stats_;
   WallTimer timer;
-  const int m = config_.batch_size;
-  const std::int32_t pool = config_.pool_factor();
-  const std::int64_t gan_plane =
-      static_cast<std::int64_t>(config_.gan_grid) * config_.gan_grid;
   generator_.set_training(true);
+  if (adversarial) discriminator_.set_training(true);
+  const obs::SpanSite& step_site = obs::span_site(std::string("trainer.") + call + ".step");
 
   for (int it = start; it < iterations; ++it) {
-    GANOPC_OBS_SPAN("trainer.pretrain.step");
+    const obs::ObsSpan span(step_site);
     if (options.stop && options.stop->load()) {
       stats.interrupted = true;
       stats.seconds += timer.seconds();
       if (!options.checkpoint_path.empty()) {
         save_checkpoint(options.checkpoint_path);
-        GANOPC_INFO("pretrain interrupted at iteration " << it << "; checkpoint flushed to "
-                                                         << options.checkpoint_path);
+        GANOPC_INFO(call << " interrupted at iteration " << it << "; checkpoint flushed to "
+                         << options.checkpoint_path);
       }
       return stats;
     }
     next_iteration_ = it;
-    const StepSnapshot snapshot = capture_step_state(false);
+    const StepSnapshot snapshot = capture_step_state(adversarial);
     int attempts = 0;
-    for (;;) {
-      pre_opt_->set_learning_rate(config_.pretrain_lr * lr_scale_);
-      nn::Tensor targets, masks_ref;
-      dataset_.sample_batch(rng_, m, targets, masks_ref);
-      // M <- G(Z_t)
-      const nn::Tensor masks = generator_.forward(targets);
-      // For each instance: upsample, simulate, compute E, pull dE/dM back down.
-      nn::Tensor grad_masks(masks.shape());
-      double litho_err = 0.0;
-      for (int j = 0; j < m; ++j) {
-        geom::Grid mask_gan(config_.gan_grid, config_.gan_grid, config_.gan_pixel_nm());
-        std::copy(masks.data() + j * gan_plane, masks.data() + (j + 1) * gan_plane,
-                  mask_gan.data.begin());
-        const geom::Grid mask_litho = geom::upsample_bilinear(mask_gan, pool);
-
-        // Target at litho resolution: use the example's own pooled target
-        // up-threshold? The dataset stores litho targets; match by content.
-        // Here we reconstruct the litho target from the GAN-resolution target
-        // by nearest up-sampling of the binary pattern — the pooled target is
-        // fractional at edges, so threshold at 0.5.
-        geom::Grid target_gan(config_.gan_grid, config_.gan_grid, config_.gan_pixel_nm());
-        std::copy(targets.data() + j * gan_plane, targets.data() + (j + 1) * gan_plane,
-                  target_gan.data.begin());
-        geom::Grid target_litho = geom::upsample_nearest(target_gan, pool);
-        geom::binarize(target_litho);
-
-        const auto fwd = sim_.forward_relaxed(mask_litho, target_litho);
-        litho_err += fwd.error;
-        // dE/dM at litho res (Eq. 14 core), then through the interpolation.
-        const geom::Grid grad_litho = sim_.gradient(mask_litho, target_litho);
-        const geom::Grid grad_gan = geom::upsample_bilinear_adjoint(grad_litho, pool, mask_gan);
-        // Mean over the mini-batch (Eq. 15's 1/m).
-        for (std::int64_t i = 0; i < gan_plane; ++i)
-          grad_masks[j * gan_plane + i] = grad_gan.data[i] / static_cast<float>(m);
-      }
-      if (GANOPC_FAILPOINT("trainer.pretrain_grad"))
-        grad_masks[0] = std::numeric_limits<float>::quiet_NaN();
-
-      bool bad = !std::isfinite(litho_err) || !tensor_finite(grad_masks);
-      const char* what = "litho gradient";
-      if (!bad) {
-        generator_.backward(grad_masks);
-        if (!grads_finite(generator_.parameters())) {
-          bad = true;
-          what = "parameter gradient";
-        }
-      }
-      if (bad) {
-        ++attempts;
-        GANOPC_CHECK_MSG(attempts <= kMaxDivergenceRetries,
-                         "pretrain diverged: non-finite " << what << " at iteration " << it
-                                                          << " after " << attempts
-                                                          << " rollbacks");
-        rollback_step(snapshot, stats, it, attempts, what);
-        continue;
-      }
-      pre_opt_->step();
-      stats.litho_history.push_back(static_cast<float>(litho_err / m));
-
-      // Also record the Eq. (9) L2 to ground truth for curve comparability.
-      float l2 = 0.0f;
-      for (std::int64_t i = 0; i < masks.numel(); ++i) {
-        const float d = masks[i] - masks_ref[i];
-        l2 += d * d;
-      }
-      stats.l2_history.push_back(l2 / static_cast<float>(m));
-      if (obs::ledger_enabled()) {
-        obs::LedgerRecord rec("train_step");
-        rec.field("phase", "pretrain")
-            .field("iter", it)
-            .field("loss", static_cast<double>(stats.litho_history.back()))
-            .field("l2", static_cast<double>(stats.l2_history.back()))
-            .field("lr", static_cast<double>(config_.pretrain_lr * lr_scale_))
-            .field("wall_s", timer.seconds());
-        obs::ledger_emit(rec);
-      }
-      break;
+    while (const char* what = step(it, stats)) {
+      ++attempts;
+      GANOPC_CHECK_MSG(attempts <= kMaxDivergenceRetries,
+                       call << " diverged: non-finite " << what << " at iteration " << it
+                            << " after " << attempts << " rollbacks");
+      rollback_step(snapshot, stats, it, attempts, what);
     }
     next_iteration_ = it + 1;
     if (!options.checkpoint_path.empty() && options.checkpoint_every > 0 &&
@@ -256,135 +198,139 @@ TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& option
   return stats;
 }
 
-TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) {
-  GANOPC_CHECK(iterations >= 0);
-  GANOPC_CHECK(options.checkpoint_every >= 0);
-  int start = 0;
-  if (resume_pending_) {
-    if (phase_ == TrainPhase::Pretrain) {
-      GANOPC_CHECK_MSG(next_iteration_ >= total_iterations_,
-                       "resumed checkpoint is mid-pretrain (iteration "
-                           << next_iteration_ << "/" << total_iterations_
-                           << "); run pretrain() first");
-      phase_stats_ = TrainStats{};  // pretrain complete; adversarial starts fresh
-    } else {
-      GANOPC_CHECK_MSG(next_iteration_ <= iterations,
-                       "resumed adversarial checkpoint is at iteration "
-                           << next_iteration_ << ", beyond the requested " << iterations);
-      start = next_iteration_;
-    }
-    resume_pending_ = false;
-  } else {
-    phase_stats_ = TrainStats{};
-  }
-  phase_ = TrainPhase::Adversarial;
-  total_iterations_ = iterations;
-  next_iteration_ = start;
-
-  TrainStats& stats = phase_stats_;
-  WallTimer timer;
+TrainStats GanOpcTrainer::pretrain(int iterations, const TrainRunOptions& options) {
   const int m = config_.batch_size;
-  generator_.set_training(true);
-  discriminator_.set_training(true);
+  const std::int32_t pool = config_.pool_factor();
+  const std::int64_t gan_plane =
+      static_cast<std::int64_t>(config_.gan_grid) * config_.gan_grid;
+  const WallTimer timer;
+  const auto step = [&](int it, TrainStats& stats) -> const char* {
+    pre_opt_->set_learning_rate(config_.pretrain_lr * lr_scale_);
+    nn::Tensor targets, masks_ref;
+    dataset_.sample_batch(rng_, m, targets, masks_ref);
+    // M <- G(Z_t)
+    const nn::Tensor masks = generator_.forward(targets);
+    // For each instance: upsample, simulate, compute E, pull dE/dM back down.
+    nn::Tensor grad_masks(masks.shape());
+    double litho_err = 0.0;
+    for (int j = 0; j < m; ++j) {
+      geom::Grid mask_gan(config_.gan_grid, config_.gan_grid, config_.gan_pixel_nm());
+      std::copy(masks.data() + j * gan_plane, masks.data() + (j + 1) * gan_plane,
+                mask_gan.data.begin());
+      const geom::Grid mask_litho = geom::upsample_bilinear(mask_gan, pool);
 
+      // The litho-resolution target is the sampled GAN-resolution target
+      // nearest-upsampled by the pool factor and thresholded at 0.5 (the
+      // pooled target is fractional along edges).
+      geom::Grid target_gan(config_.gan_grid, config_.gan_grid, config_.gan_pixel_nm());
+      std::copy(targets.data() + j * gan_plane, targets.data() + (j + 1) * gan_plane,
+                target_gan.data.begin());
+      geom::Grid target_litho = geom::upsample_nearest(target_gan, pool);
+      geom::binarize(target_litho);
+
+      const auto fwd = sim_.forward_relaxed(mask_litho, target_litho);
+      litho_err += fwd.error;
+      // dE/dM at litho res (Eq. 14 core), then through the interpolation.
+      const geom::Grid grad_litho = sim_.gradient(mask_litho, target_litho);
+      const geom::Grid grad_gan = geom::upsample_bilinear_adjoint(grad_litho, pool, mask_gan);
+      // Mean over the mini-batch (Eq. 15's 1/m).
+      for (std::int64_t i = 0; i < gan_plane; ++i)
+        grad_masks[j * gan_plane + i] = grad_gan.data[i] / static_cast<float>(m);
+    }
+    if (GANOPC_FAILPOINT("trainer.pretrain_grad"))
+      grad_masks[0] = std::numeric_limits<float>::quiet_NaN();
+    if (!std::isfinite(litho_err) || !tensor_finite(grad_masks)) return "litho gradient";
+    generator_.backward(grad_masks);
+    if (!grads_finite(generator_.parameters())) return "parameter gradient";
+    pre_opt_->step();
+    stats.litho_history.push_back(static_cast<float>(litho_err / m));
+
+    // Also record the Eq. (9) L2 to ground truth for curve comparability.
+    float l2 = 0.0f;
+    for (std::int64_t i = 0; i < masks.numel(); ++i) {
+      const float d = masks[i] - masks_ref[i];
+      l2 += d * d;
+    }
+    stats.l2_history.push_back(l2 / static_cast<float>(m));
+    if (obs::ledger_enabled()) {
+      obs::LedgerRecord rec("train_step");
+      rec.field("phase", "pretrain")
+          .field("iter", it)
+          .field("loss", static_cast<double>(stats.litho_history.back()))
+          .field("l2", static_cast<double>(stats.l2_history.back()))
+          .field("lr", static_cast<double>(config_.pretrain_lr * lr_scale_))
+          .field("wall_s", timer.seconds());
+      obs::ledger_emit(rec);
+    }
+    return nullptr;
+  };
+  return run_phase(TrainPhase::Pretrain, iterations, options, step);
+}
+
+TrainStats GanOpcTrainer::train(int iterations, const TrainRunOptions& options) {
+  const int m = config_.batch_size;
   nn::Tensor real_labels({static_cast<std::int64_t>(m), 1});
   real_labels.fill(1.0f);
-  nn::Tensor fake_labels({static_cast<std::int64_t>(m), 1});
+  const nn::Tensor fake_labels({static_cast<std::int64_t>(m), 1});
+  const WallTimer timer;
+  const auto step = [&](int it, TrainStats& stats) -> const char* {
+    g_opt_->set_learning_rate(config_.lr_generator * lr_scale_);
+    d_opt_->set_learning_rate(config_.lr_discriminator * lr_scale_);
+    nn::Tensor targets, masks_ref;
+    dataset_.sample_batch(rng_, m, targets, masks_ref);
 
-  for (int it = start; it < iterations; ++it) {
-    GANOPC_OBS_SPAN("trainer.train.step");
-    if (options.stop && options.stop->load()) {
-      stats.interrupted = true;
-      stats.seconds += timer.seconds();
-      if (!options.checkpoint_path.empty()) {
-        save_checkpoint(options.checkpoint_path);
-        GANOPC_INFO("train interrupted at iteration " << it << "; checkpoint flushed to "
-                                                      << options.checkpoint_path);
-      }
-      return stats;
+    // ---- discriminator update: push D(Z_t, M*) -> 1, D(Z_t, G(Z_t)) -> 0.
+    const nn::Tensor masks_fake = generator_.forward(targets);
+    nn::Tensor grad_logits;
+    const nn::Tensor logits_fake = discriminator_.forward(targets, masks_fake);
+    const float d_loss_fake = nn::bce_with_logits_loss(logits_fake, fake_labels, grad_logits);
+    discriminator_.backward_to_mask(grad_logits);  // mask grad discarded: detached G
+    const nn::Tensor logits_real = discriminator_.forward(targets, masks_ref);
+    const float d_loss_real = nn::bce_with_logits_loss(logits_real, real_labels, grad_logits);
+    discriminator_.backward_to_mask(grad_logits);
+    if (!std::isfinite(d_loss_fake) || !std::isfinite(d_loss_real) ||
+        !grads_finite(discriminator_.parameters()))
+      return "discriminator loss";
+    d_opt_->step();
+
+    // ---- generator update: l_g = -log D(Z_t, M) + alpha ||M* - M||_2^2.
+    const nn::Tensor masks = generator_.forward(targets);
+    const nn::Tensor logits = discriminator_.forward(targets, masks);
+    nn::Tensor grad_adv_logits;
+    const float g_adv = nn::generator_adv_loss(logits, grad_adv_logits);
+    nn::Tensor grad_mask_adv = discriminator_.backward_to_mask(grad_adv_logits);
+    d_opt_->zero_grad();  // discard D gradients produced on G's behalf
+
+    // Algorithm 1 line 7 uses the *un-normalized* squared L2 per instance;
+    // average over the mini-batch only (Eq. 15's 1/m).
+    nn::Tensor grad_mask_l2;
+    const float l2_total = nn::sse_loss(masks, masks_ref, grad_mask_l2);
+    grad_mask_adv.add_scaled_(grad_mask_l2, config_.alpha_l2 / static_cast<float>(m));
+    if (GANOPC_FAILPOINT("trainer.train_grad"))
+      grad_mask_adv[0] = std::numeric_limits<float>::quiet_NaN();
+    if (!std::isfinite(g_adv) || !std::isfinite(l2_total) || !tensor_finite(grad_mask_adv))
+      return "generator loss/gradient";
+    generator_.backward(grad_mask_adv);
+    g_opt_->step();
+
+    // Figure 7's y-axis: mean per-instance squared L2 to the reference mask.
+    stats.l2_history.push_back(l2_total / static_cast<float>(m));
+    stats.g_adv_history.push_back(g_adv);
+    stats.d_loss_history.push_back(d_loss_fake + d_loss_real);
+    if (obs::ledger_enabled()) {
+      obs::LedgerRecord rec("train_step");
+      rec.field("phase", "adversarial")
+          .field("iter", it)
+          .field("l2", static_cast<double>(stats.l2_history.back()))
+          .field("g_adv", static_cast<double>(g_adv))
+          .field("d_loss", static_cast<double>(stats.d_loss_history.back()))
+          .field("lr", static_cast<double>(config_.lr_generator * lr_scale_))
+          .field("wall_s", timer.seconds());
+      obs::ledger_emit(rec);
     }
-    next_iteration_ = it;
-    const StepSnapshot snapshot = capture_step_state(true);
-    int attempts = 0;
-    for (;;) {
-      g_opt_->set_learning_rate(config_.lr_generator * lr_scale_);
-      d_opt_->set_learning_rate(config_.lr_discriminator * lr_scale_);
-      nn::Tensor targets, masks_ref;
-      dataset_.sample_batch(rng_, m, targets, masks_ref);
-
-      // ---- discriminator update: push D(Z_t, M*) -> 1, D(Z_t, G(Z_t)) -> 0.
-      const nn::Tensor masks_fake = generator_.forward(targets);
-      nn::Tensor grad_logits;
-      const nn::Tensor logits_fake = discriminator_.forward(targets, masks_fake);
-      const float d_loss_fake = nn::bce_with_logits_loss(logits_fake, fake_labels, grad_logits);
-      discriminator_.backward_to_mask(grad_logits);  // mask grad discarded: detached G
-      const nn::Tensor logits_real = discriminator_.forward(targets, masks_ref);
-      const float d_loss_real = nn::bce_with_logits_loss(logits_real, real_labels, grad_logits);
-      discriminator_.backward_to_mask(grad_logits);
-      if (!std::isfinite(d_loss_fake) || !std::isfinite(d_loss_real) ||
-          !grads_finite(discriminator_.parameters())) {
-        ++attempts;
-        GANOPC_CHECK_MSG(attempts <= kMaxDivergenceRetries,
-                         "train diverged: non-finite discriminator loss at iteration "
-                             << it << " after " << attempts << " rollbacks");
-        rollback_step(snapshot, stats, it, attempts, "discriminator loss");
-        continue;
-      }
-      d_opt_->step();
-
-      // ---- generator update: l_g = -log D(Z_t, M) + alpha ||M* - M||_2^2.
-      const nn::Tensor masks = generator_.forward(targets);
-      const nn::Tensor logits = discriminator_.forward(targets, masks);
-      nn::Tensor grad_adv_logits;
-      const float g_adv = nn::generator_adv_loss(logits, grad_adv_logits);
-      nn::Tensor grad_mask_adv = discriminator_.backward_to_mask(grad_adv_logits);
-      d_opt_->zero_grad();  // discard D gradients produced on G's behalf
-
-      // Algorithm 1 line 7 uses the *un-normalized* squared L2 per instance;
-      // average over the mini-batch only (Eq. 15's 1/m).
-      nn::Tensor grad_mask_l2;
-      const float l2_total = nn::sse_loss(masks, masks_ref, grad_mask_l2);
-      grad_mask_adv.add_scaled_(grad_mask_l2, config_.alpha_l2 / static_cast<float>(m));
-      if (GANOPC_FAILPOINT("trainer.train_grad"))
-        grad_mask_adv[0] = std::numeric_limits<float>::quiet_NaN();
-      if (!std::isfinite(g_adv) || !std::isfinite(l2_total) ||
-          !tensor_finite(grad_mask_adv)) {
-        ++attempts;
-        GANOPC_CHECK_MSG(attempts <= kMaxDivergenceRetries,
-                         "train diverged: non-finite generator loss/gradient at iteration "
-                             << it << " after " << attempts << " rollbacks");
-        rollback_step(snapshot, stats, it, attempts, "generator loss/gradient");
-        continue;
-      }
-      generator_.backward(grad_mask_adv);
-      g_opt_->step();
-
-      // Figure 7's y-axis: mean per-instance squared L2 to the reference mask.
-      stats.l2_history.push_back(l2_total / static_cast<float>(m));
-      stats.g_adv_history.push_back(g_adv);
-      stats.d_loss_history.push_back(d_loss_fake + d_loss_real);
-      if (obs::ledger_enabled()) {
-        obs::LedgerRecord rec("train_step");
-        rec.field("phase", "adversarial")
-            .field("iter", it)
-            .field("l2", static_cast<double>(stats.l2_history.back()))
-            .field("g_adv", static_cast<double>(g_adv))
-            .field("d_loss", static_cast<double>(stats.d_loss_history.back()))
-            .field("lr", static_cast<double>(config_.lr_generator * lr_scale_))
-            .field("wall_s", timer.seconds());
-        obs::ledger_emit(rec);
-      }
-      break;
-    }
-    next_iteration_ = it + 1;
-    if (!options.checkpoint_path.empty() && options.checkpoint_every > 0 &&
-        (it + 1) % options.checkpoint_every == 0 && it + 1 < iterations)
-      save_checkpoint(options.checkpoint_path);
-  }
-  stats.seconds += timer.seconds();
-  next_iteration_ = iterations;
-  if (!options.checkpoint_path.empty()) save_checkpoint(options.checkpoint_path);
-  return stats;
+    return nullptr;
+  };
+  return run_phase(TrainPhase::Adversarial, iterations, options, step);
 }
 
 }  // namespace ganopc::core

@@ -7,15 +7,17 @@
 //   combined objective Eq. 10): alternating D / G mini-batch updates, with
 //   l_g = -log D(Z_t, G(Z_t)) + alpha ||M* - G(Z_t)||_2^2.
 //
-// Both phases are crash-safe (DESIGN.md §8): they checkpoint the complete
-// training state (weights, batch-norm buffers, Adam moments, Prng stream,
-// iteration counter, loss history) to a GOPCNET2 container, honor a
-// cooperative stop flag by flushing a final checkpoint, and guard every
-// step with a non-finite loss/gradient check that rolls the step back and
-// backs off the learning rate before retrying.
+// Both phases hold only their step body and run it through one crash-safe
+// loop, run_phase() (DESIGN.md §8): it resumes from a GOPCNET2 checkpoint of
+// the complete training state (weights, batch-norm buffers, Adam moments,
+// Prng stream, iteration counter, loss history), honors a cooperative stop
+// flag by flushing a final checkpoint, checkpoints periodically, and guards
+// every step with a non-finite loss/gradient check that rolls the step back
+// and backs off the learning rate before retrying.
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,13 +84,11 @@ class GanOpcTrainer {
                 const litho::LithoSim& sim, Prng& rng);
 
   /// Algorithm 2: ILT-guided pre-training of the generator.
-  TrainStats pretrain(int iterations) { return pretrain(iterations, TrainRunOptions{}); }
-  TrainStats pretrain(int iterations, const TrainRunOptions& options);
+  TrainStats pretrain(int iterations, const TrainRunOptions& options = {});
 
   /// Algorithm 1: adversarial training with fixed-rate Adam. Records the
   /// Eq. (9) L2 per iteration for the Figure 7 curves.
-  TrainStats train(int iterations) { return train(iterations, TrainRunOptions{}); }
-  TrainStats train(int iterations, const TrainRunOptions& options);
+  TrainStats train(int iterations, const TrainRunOptions& options = {});
 
   /// Restore a GOPCNET2 training checkpoint written by a previous run. The
   /// next pretrain()/train() call continues from the saved iteration with
@@ -103,6 +103,15 @@ class GanOpcTrainer {
 
  private:
   friend struct TrainerCheckpointCodec;
+
+  /// One training iteration: runs iteration `it`, appending to `stats`, and
+  /// returns nullptr, or the name of the non-finite value that makes the
+  /// step roll back and retry.
+  using StepFn = std::function<const char*(int it, TrainStats& stats)>;
+  /// The crash-safe loop both phases share: resume, stop flush, per-step
+  /// snapshot/rollback/retry, periodic and final checkpoints.
+  TrainStats run_phase(TrainPhase phase, int iterations, const TrainRunOptions& options,
+                       const StepFn& step);
 
   struct StepSnapshot;
   StepSnapshot capture_step_state(bool include_discriminator) const;

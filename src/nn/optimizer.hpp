@@ -22,7 +22,6 @@ class Adam {
 
   void zero_grad();
 
-  float learning_rate() const { return lr_; }
   void set_learning_rate(float lr);
 
   // --- state access for checkpoint / resume ---

@@ -316,6 +316,18 @@ struct Supervisor::Engine {
     if (on_result) on_result(res);
   }
 
+  /// Decode a kResult frame's payload ('\x01' + payload on success, '\x00' +
+  /// error text otherwise) and finalize the slot's in-flight task with it.
+  void finish_inflight(Slot& slot, const std::string& payload) {
+    TaskResult res;
+    if (!payload.empty() && payload[0] == '\x01')
+      res.payload = payload.substr(1);
+    else
+      res.error = payload.empty() ? "empty worker response" : payload.substr(1);
+    finalize(static_cast<std::uint64_t>(slot.inflight), std::move(res));
+    slot.inflight = -1;
+  }
+
   void cancel_queued(const std::string& reason) {
     while (!queue.empty()) {
       const std::uint64_t seq = queue.front();
@@ -485,14 +497,7 @@ struct Supervisor::Engine {
         while (slot.rx.next(frame)) {
           if (apply_obs_frame(frame)) continue;  // dead worker's last deltas
           if (frame.type != FrameType::kResult || slot.inflight < 0) continue;
-          TaskResult res;
-          if (!frame.payload.empty() && frame.payload[0] == '\x01')
-            res.payload = frame.payload.substr(1);
-          else
-            res.error = frame.payload.empty() ? "empty worker response"
-                                              : frame.payload.substr(1);
-          finalize(static_cast<std::uint64_t>(slot.inflight), std::move(res));
-          slot.inflight = -1;
+          finish_inflight(slot, frame.payload);
         }
       } catch (...) {
         // Torn tail from a mid-write death: the in-flight task did not
@@ -613,11 +618,11 @@ struct Supervisor::Engine {
       for (std::size_t i = 0; i < fds.size(); ++i) {
         if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
         Slot& slot = *fd_slots[i];
-        bool eof = false;
+        // EOF or an unreadable pipe means the worker is gone; the reaper
+        // below handles its death.
         try {
-          eof = !slot.rx.fill(slot.result_fd);
+          slot.rx.fill(slot.result_fd);
         } catch (...) {
-          eof = true;  // unreadable pipe: treat as gone, reaper confirms
         }
         Frame frame;
         while (slot.rx.next(frame)) {
@@ -625,16 +630,8 @@ struct Supervisor::Engine {
           if (apply_obs_frame(frame)) continue;
           if (frame.type != FrameType::kResult) continue;  // hello/heartbeat
           if (slot.inflight < 0) continue;  // stale frame from a shutdown race
-          TaskResult res;
-          if (!frame.payload.empty() && frame.payload[0] == '\x01')
-            res.payload = frame.payload.substr(1);
-          else
-            res.error = frame.payload.empty() ? "empty worker response"
-                                              : frame.payload.substr(1);
-          finalize(static_cast<std::uint64_t>(slot.inflight), std::move(res));
-          slot.inflight = -1;
+          finish_inflight(slot, frame.payload);
         }
-        (void)eof;  // death is handled by the reaper below
       }
     }
 

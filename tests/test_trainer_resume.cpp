@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,10 +42,31 @@ void expect_bitwise_equal(const std::vector<nn::Param>& a,
   }
 }
 
+/// Runs `fn`, which must throw ganopc::Error whose text contains `text`.
+void expect_error_containing(const std::function<void()>& fn, const std::string& text) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected one containing: " << text;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+  }
+}
+
+/// Runs `phase` (pretrain or train) for `iterations` on `trainer`.
+TrainStats run(GanOpcTrainer& trainer, TrainPhase phase, int iterations,
+               const TrainRunOptions& options = {}) {
+  return phase == TrainPhase::Pretrain ? trainer.pretrain(iterations, options)
+                                       : trainer.train(iterations, options);
+}
+
 class TrainerResumeTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::clear(); }
 };
+
+/// Cases that run once per phase: GetParam() is Pretrain or Adversarial.
+class TrainerPhaseTest : public TrainerResumeTest,
+                         public ::testing::WithParamInterface<TrainPhase> {};
 
 TEST_F(TrainerResumeTest, PretrainResumeBitIdentical) {
   const auto cfg = testutil::make_tiny_config();
@@ -169,15 +191,19 @@ TEST_F(TrainerResumeTest, CrashDuringFinalSaveLeavesPeriodicCheckpointResumable)
   EXPECT_EQ(info.next_iteration, 2);
   EXPECT_EQ(info.total_iterations, 3);
 
-  // A mid-pretrain checkpoint must not silently feed train().
-  EXPECT_THROW(resumed.trainer.train(5), Error);
-  // But finishing the pretrain from it works.
+  // A mid-pretrain checkpoint must not silently feed train(), and the
+  // rejected call leaves the resumed state in place.
+  expect_error_containing(
+      [&] { resumed.trainer.train(5); },
+      "resumed checkpoint is mid-pretrain (iteration 2/3); run pretrain() first");
+  // Finishing the pretrain from it works.
   const TrainStats out = resumed.trainer.pretrain(3);
   EXPECT_EQ(out.litho_history.size(), 3u);
   std::remove(ckpt.c_str());
 }
 
-TEST_F(TrainerResumeTest, StopFlagFlushesResumableCheckpoint) {
+TEST_P(TrainerPhaseTest, StopFlagFlushesResumableCheckpoint) {
+  const TrainPhase phase = GetParam();
   const auto cfg = testutil::make_tiny_config();
   const auto ckpt = temp_path("ganopc_resume_stop.ckpt");
 
@@ -186,17 +212,73 @@ TEST_F(TrainerResumeTest, StopFlagFlushesResumableCheckpoint) {
   TrainRunOptions opts;
   opts.checkpoint_path = ckpt;
   opts.stop = &stop;
-  const TrainStats stats = rig.trainer.pretrain(5, opts);
+  const TrainStats stats = run(rig.trainer, phase, 5, opts);
   EXPECT_TRUE(stats.interrupted);
-  EXPECT_TRUE(stats.litho_history.empty());
+  EXPECT_TRUE(stats.l2_history.empty());
 
   Rig resumed(cfg);
   const ResumeInfo info = resumed.trainer.resume(ckpt);
+  EXPECT_EQ(info.phase, phase);
   EXPECT_EQ(info.next_iteration, 0);
   EXPECT_EQ(info.total_iterations, 5);
-  const TrainStats out = resumed.trainer.pretrain(5);
-  EXPECT_EQ(out.litho_history.size(), 5u);
+  const TrainStats out = run(resumed.trainer, phase, 5);
+  EXPECT_EQ(out.l2_history.size(), 5u);
   EXPECT_FALSE(out.interrupted);
+  std::remove(ckpt.c_str());
+}
+
+TEST_P(TrainerPhaseTest, SamePhaseCheckpointBeyondRequestedThrows) {
+  const TrainPhase phase = GetParam();
+  const auto cfg = testutil::make_tiny_config();
+  const auto ckpt = temp_path("ganopc_resume_beyond.ckpt");
+  {
+    Rig rig(cfg);
+    TrainRunOptions opts;
+    opts.checkpoint_path = ckpt;
+    run(rig.trainer, phase, 4, opts);
+  }
+  Rig resumed(cfg);
+  resumed.trainer.resume(ckpt);
+  expect_error_containing(
+      [&] { run(resumed.trainer, phase, 3); },
+      std::string("resumed ") +
+          (phase == TrainPhase::Pretrain ? "pretrain" : "adversarial") +
+          " checkpoint is at iteration 4, beyond the requested 3");
+  std::remove(ckpt.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPhases, TrainerPhaseTest,
+                         ::testing::Values(TrainPhase::Pretrain, TrainPhase::Adversarial),
+                         [](const ::testing::TestParamInfo<TrainPhase>& info) {
+                           return info.param == TrainPhase::Pretrain ? "Pretrain"
+                                                                     : "Adversarial";
+                         });
+
+TEST_F(TrainerResumeTest, CompletedPretrainCheckpointStartsTrainFresh) {
+  const auto cfg = testutil::make_tiny_config();
+  const auto ckpt = temp_path("ganopc_resume_donepre.ckpt");
+
+  Rig full(cfg);
+  full.trainer.pretrain(3);
+  const TrainStats ref = full.trainer.train(4);
+  const auto ref_gen = snapshot(full.generator.parameters());
+
+  {
+    Rig partial(cfg);
+    TrainRunOptions opts;
+    opts.checkpoint_path = ckpt;
+    partial.trainer.pretrain(3, opts);
+  }
+
+  Rig resumed(cfg);
+  resumed.trainer.resume(ckpt);
+  const TrainStats out = resumed.trainer.train(4);
+  // The adversarial history starts empty: no pretrain curve carries over.
+  EXPECT_TRUE(out.litho_history.empty());
+  ASSERT_EQ(out.l2_history.size(), ref.l2_history.size());
+  for (std::size_t i = 0; i < ref.l2_history.size(); ++i)
+    EXPECT_EQ(out.l2_history[i], ref.l2_history[i]) << "iteration " << i;
+  expect_bitwise_equal(resumed.generator.parameters(), ref_gen, "generator");
   std::remove(ckpt.c_str());
 }
 
@@ -227,7 +309,8 @@ TEST_F(TrainerResumeTest, AdversarialCheckpointRejectsPretrain) {
   }
   Rig rig(cfg);
   rig.trainer.resume(ckpt);
-  EXPECT_THROW(rig.trainer.pretrain(3), Error);
+  expect_error_containing([&] { rig.trainer.pretrain(3); },
+                          "resumed checkpoint is in the adversarial phase; call train()");
   std::remove(ckpt.c_str());
 }
 
