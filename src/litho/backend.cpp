@@ -76,8 +76,8 @@ SocsKernels TccBackend::build(const OpticsConfig& optics, std::int32_t grid_size
   if (opts.source_points.empty())
     opts.source_points = sample_annular_source(optics, optics.num_kernels);
   // The operator has rank <= #source points; solving for the full rank costs
-  // little beyond the (shared) assembly and lets auto mode pick the smallest
-  // admissible truncation from one eigensolve.
+  // one eigensolve and lets auto mode pick the smallest admissible
+  // truncation from it.
   const int rank = static_cast<int>(opts.source_points.size());
   const int solve_k =
       num_kernels_ <= 0 ? rank : std::min(num_kernels_, rank);

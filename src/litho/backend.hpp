@@ -9,7 +9,7 @@
 //   AbbeBackend  — one coherent kernel per sampled source point (the
 //                  reference; N_h = OpticsConfig::num_kernels transforms per
 //                  image).
-//   TccBackend   — assembles the Hopkins TCC operator *from the same Abbe
+//   TccBackend   — builds the Hopkins TCC operator *from the same Abbe
 //                  source sampling*, eigendecomposes it, and keeps the top-k
 //                  kernels. Because the generating measure is identical, the
 //                  truncated SOCS converges to the Abbe image as k grows and

@@ -15,6 +15,8 @@ namespace {
 
 using cdouble = std::complex<double>;
 
+constexpr int kPowerIterations = 40;  // subspace-iteration sweeps
+
 // One frequency sample inside the extended pupil support.
 struct FreqPoint {
   std::int32_t row, col;  // unshifted grid indices
@@ -65,6 +67,28 @@ cdouble pupil(const OpticsConfig& cfg, double fx, double fy) {
   return {std::cos(phase), std::sin(phase)};
 }
 
+// One source sample's share w_s p_s p_s^H of the TCC operator, with the
+// shifted pupil p_s kept only where it is nonzero.
+struct SourceFactor {
+  double weight = 0.0;
+  std::vector<std::uint32_t> index;  // support indices, ascending
+  std::vector<cdouble> pupil;        // p_s at those indices
+};
+
+// out = T v = sum_s (w_s p_s) (p_s^H v), source samples ascending. Costs
+// 2 * sum_s nnz(p_s) complex multiply-adds instead of n^2 for a dense T.
+void apply(const std::vector<SourceFactor>& factors, const std::vector<cdouble>& v,
+           std::vector<cdouble>& out) {
+  out.assign(v.size(), cdouble{0.0, 0.0});
+  for (const SourceFactor& f : factors) {
+    cdouble dot{0.0, 0.0};
+    for (std::size_t q = 0; q < f.index.size(); ++q)
+      dot += std::conj(f.pupil[q]) * v[f.index[q]];
+    for (std::size_t q = 0; q < f.index.size(); ++q)
+      out[f.index[q]] += (f.weight * f.pupil[q]) * dot;
+  }
+}
+
 // Modified Gram-Schmidt orthonormalization of k column vectors of length n.
 void orthonormalize(std::vector<std::vector<cdouble>>& basis) {
   for (std::size_t i = 0; i < basis.size(); ++i) {
@@ -90,7 +114,7 @@ TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_s
   GANOPC_CHECK_MSG(config.valid(), "invalid optics configuration");
   GANOPC_CHECK_MSG(fft::is_pow2(static_cast<std::size_t>(grid_size)),
                    "grid size must be a power of two");
-  GANOPC_CHECK(num_kernels > 0 && options.power_iterations > 0);
+  GANOPC_CHECK(num_kernels > 0);
   GANOPC_CHECK_MSG(!options.source_points.empty() || options.source_samples > 8,
                    "dense source discretization needs more than 8 samples");
   const double df = 1.0 / (static_cast<double>(grid_size) * pixel_nm);
@@ -112,10 +136,6 @@ TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_s
   GANOPC_CHECK_MSG(static_cast<int>(n) >= num_kernels,
                    "pupil support smaller than requested kernel count");
 
-  // Assemble the Hermitian TCC matrix: T += J_s * p_s p_s^H where p_s is the
-  // shifted-pupil vector for one source sample. Row blocks accumulate in
-  // parallel.
-  std::vector<cdouble> tcc(n * n, cdouble{0.0, 0.0});
   std::vector<SourceSample> source;
   if (options.source_points.empty()) {
     source = dense_source(config, options.source_samples);
@@ -130,25 +150,25 @@ TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_s
     }
     for (auto& s : source) s.weight /= total;
   }
-  std::vector<std::vector<cdouble>> shifted(source.size());
+
+  // The Hermitian TCC operator T = sum_s w_s p_s p_s^H, p_s the shifted
+  // pupil of one source sample, is never assembled: each factor keeps only
+  // the support indices where p_s is nonzero, and the diagonal (for the
+  // trace) accumulates over s ascending, as a row-by-row assembly would.
+  std::vector<SourceFactor> factors(source.size());
+  std::vector<double> diagonal(n, 0.0);
   for (std::size_t s = 0; s < source.size(); ++s) {
-    shifted[s].resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      shifted[s][i] = pupil(config, source[s].fx + points[i].fx,
-                            source[s].fy + points[i].fy);
-  }
-  parallel_for_chunks(0, n, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t s = 0; s < source.size(); ++s) {
-      const double w = source[s].weight;
-      const auto& p = shifted[s];
-      for (std::size_t i = r0; i < r1; ++i) {
-        if (p[i] == cdouble{0.0, 0.0}) continue;
-        const cdouble pi_w = w * p[i];
-        cdouble* row = &tcc[i * n];
-        for (std::size_t j = 0; j < n; ++j) row[j] += pi_w * std::conj(p[j]);
-      }
+    SourceFactor& f = factors[s];
+    f.weight = source[s].weight;
+    for (std::size_t i = 0; i < n; ++i) {
+      const cdouble p =
+          pupil(config, source[s].fx + points[i].fx, source[s].fy + points[i].fy);
+      if (p == cdouble{0.0, 0.0}) continue;
+      f.index.push_back(static_cast<std::uint32_t>(i));
+      f.pupil.push_back(p);
+      diagonal[i] += ((f.weight * p) * std::conj(p)).real();
     }
-  }, /*serial_threshold=*/1);
+  }
 
   // Subspace iteration for the leading eigenpairs.
   Prng rng(options.seed);
@@ -159,16 +179,9 @@ TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_s
   }
   orthonormalize(basis);
   std::vector<std::vector<cdouble>> product(basis.size());
-  for (int it = 0; it < options.power_iterations; ++it) {
+  for (int it = 0; it < kPowerIterations; ++it) {
     parallel_for(0, basis.size(), [&](std::size_t k) {
-      auto& out = product[k];
-      out.assign(n, cdouble{0.0, 0.0});
-      for (std::size_t i = 0; i < n; ++i) {
-        const cdouble* row = &tcc[i * n];
-        cdouble acc{0.0, 0.0};
-        for (std::size_t j = 0; j < n; ++j) acc += row[j] * basis[k][j];
-        out[i] = acc;
-      }
+      apply(factors, basis[k], product[k]);
     }, /*serial_threshold=*/1);
     std::swap(basis, product);
     orthonormalize(basis);
@@ -176,16 +189,12 @@ TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_s
 
   // Rayleigh quotients give the eigenvalues.
   std::vector<double> eigenvalues(basis.size(), 0.0);
-  for (std::size_t k = 0; k < basis.size(); ++k) {
+  parallel_for(0, basis.size(), [&](std::size_t k) {
+    apply(factors, basis[k], product[k]);
     cdouble acc{0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) {
-      const cdouble* row = &tcc[i * n];
-      cdouble ti{0.0, 0.0};
-      for (std::size_t j = 0; j < n; ++j) ti += row[j] * basis[k][j];
-      acc += std::conj(basis[k][i]) * ti;
-    }
+    for (std::size_t i = 0; i < n; ++i) acc += std::conj(basis[k][i]) * product[k][i];
     eigenvalues[k] = acc.real();
-  }
+  }, /*serial_threshold=*/1);
   // Sort by descending eigenvalue.
   std::vector<std::size_t> order(basis.size());
   std::iota(order.begin(), order.end(), 0);
@@ -193,7 +202,7 @@ TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_s
             [&](std::size_t a, std::size_t b) { return eigenvalues[a] > eigenvalues[b]; });
 
   double trace = 0.0;
-  for (std::size_t i = 0; i < n; ++i) trace += tcc[i * n + i].real();
+  for (const double d : diagonal) trace += d;
 
   TccKernelSet result;
   const std::size_t grid_px = static_cast<std::size_t>(grid_size) * grid_size;

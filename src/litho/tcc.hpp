@@ -9,10 +9,12 @@
 // which converges in far fewer kernels than direct Abbe source sampling —
 // the reason production simulators ship SVD kernels (as lithosim_v4 does).
 //
-// The operator is assembled on the pupil-limited frequency support (a disk
-// of |f| < (1 + sigma_out) NA/lambda, a few thousand samples on our grids)
-// from a dense source discretization, then the leading eigenpairs are
-// extracted by subspace iteration.
+// The operator lives on the pupil-limited frequency support (a disk of
+// |f| < (1 + sigma_out) NA/lambda, a few thousand samples on our grids) and
+// is never assembled: with S source samples it is TCC = sum_s w_s p_s p_s^H,
+// p_s the pupil shifted by source point s, so the subspace iteration that
+// extracts the leading eigenpairs applies it from those S sparse factors.
+// Memory is O(S n) in the n support samples, not O(n^2).
 #pragma once
 
 #include <complex>
@@ -33,10 +35,9 @@ struct TccKernelSet {
 };
 
 struct TccOptions {
-  int source_samples = 256;   ///< dense source discretization for the TCC
-  int power_iterations = 40;  ///< subspace-iteration sweeps
-  std::uint64_t seed = 7;     ///< deterministic start block
-  /// When non-empty, assemble the TCC from exactly these source points
+  int source_samples = 256;  ///< dense source discretization for the TCC
+  std::uint64_t seed = 7;    ///< deterministic start block
+  /// When non-empty, build the TCC from exactly these source points
   /// (weights need not sum to 1; they are normalized) instead of the dense
   /// polar discretization. Passing the Abbe sampling here makes the truncated
   /// SOCS converge to the Abbe reference image as k grows, so the retained

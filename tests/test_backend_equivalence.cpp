@@ -1,7 +1,7 @@
 // Backend-equivalence tier (DESIGN.md §15): the truncated-TCC litho backend
 // differentially checked against the Abbe reference it is built from.
 //
-// TccBackend assembles the Hopkins operator from the SAME source points the
+// TccBackend builds the Hopkins operator from the SAME source points the
 // Abbe backend samples, so the full-rank expansion reproduces the Abbe image
 // exactly and truncation is the ONLY difference between the two backends.
 // That gives an analytic handle the tests pin:

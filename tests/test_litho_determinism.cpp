@@ -6,10 +6,12 @@
 // change a single bit of any result. This tier pins that contract: aerial,
 // gradient (single- and multi-dose), a full ILT iteration and a simulate
 // batch are computed at 1, 2 and hardware_concurrency threads (plus an
-// oversubscribed pool) and compared bit-for-bit.
+// oversubscribed pool) and compared bit-for-bit. The TCC kernel factory is
+// pinned to fixed hashes at 1 and 3 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "common/parallel.hpp"
 #include "ilt/ilt.hpp"
 #include "litho/lithosim.hpp"
+#include "litho/tcc.hpp"
 
 namespace ganopc::litho {
 namespace {
@@ -155,6 +158,46 @@ TEST(LithoDeterminism, RepeatedCallsOnWarmWorkspaceAreStable) {
   expect_identical(out, ref_b, "warm aerial(b)", ThreadPool::instance().size());
   sim.aerial_into(a, out, warm);
   expect_identical(out, ref_a, "warm aerial(a) again", ThreadPool::instance().size());
+}
+
+// FNV-1a 64 over the kernel spectra, then the weights, as one running hash.
+std::uint64_t hash_kernel_set(const TccKernelSet& set) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& kernel : set.kernels_hat)
+    mix(kernel.data(), kernel.size() * sizeof(kernel[0]));
+  mix(set.weights.data(), set.weights.size() * sizeof(float));
+  return h;
+}
+
+TEST(LithoDeterminism, TccKernelsPinnedAtEveryThreadCount) {
+  // The TCC eigensolve runs its subspace sweeps in parallel over the basis
+  // vectors, each applied serially, so the kernels must not depend on the
+  // pool size. The hashes pin the exact bytes the serving path ships:
+  // kernel spectra and weights are rounded to float from the double
+  // solve, so a reordered reduction that moves the solve in its last
+  // digits must still leave them untouched. tcc.cpp builds at -O2 without
+  // -mfma; the pinned values assume no FMA contraction.
+  const OpticsConfig optics;
+  TccOptions abbe_source;
+  abbe_source.source_points = sample_annular_source(optics, 24);
+
+  for (const std::size_t t : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool::reset(t);
+    ASSERT_EQ(ThreadPool::instance().size(), t);
+    const TccKernelSet abbe = compute_tcc_kernels(optics, 128, 16, 8, abbe_source);
+    EXPECT_EQ(hash_kernel_set(abbe), 0x2f901e3820ec8344ULL) << t << " threads";
+    EXPECT_NEAR(abbe.captured_energy, 0.924277715190921, 1e-12) << t << " threads";
+    const TccKernelSet dense = compute_tcc_kernels(optics, 64, 16, 8);
+    EXPECT_EQ(hash_kernel_set(dense), 0x54a3b19b68ba5aa3ULL) << t << " threads";
+  }
+  ThreadPool::reset(ThreadPool::default_thread_count());
 }
 
 }  // namespace
