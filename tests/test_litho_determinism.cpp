@@ -16,8 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/parallel.hpp"
 #include "ilt/ilt.hpp"
+#include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
 #include "litho/tcc.hpp"
 
@@ -160,20 +162,27 @@ TEST(LithoDeterminism, RepeatedCallsOnWarmWorkspaceAreStable) {
   expect_identical(out, ref_a, "warm aerial(a) again", ThreadPool::instance().size());
 }
 
+/// FNV-1a 64, continued from `h` over `bytes` bytes at `data`.
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t hash_grid(const geom::Grid& g) {
+  return fnv1a(g.data.data(), g.data.size() * sizeof(float));
+}
+
 // FNV-1a 64 over the kernel spectra, then the weights, as one running hash.
 std::uint64_t hash_kernel_set(const TccKernelSet& set) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 0x100000001b3ULL;
-    }
-  };
   for (const auto& kernel : set.kernels_hat)
-    mix(kernel.data(), kernel.size() * sizeof(kernel[0]));
-  mix(set.weights.data(), set.weights.size() * sizeof(float));
-  return h;
+    h = fnv1a(kernel.data(), kernel.size() * sizeof(kernel[0]), h);
+  return fnv1a(set.weights.data(), set.weights.size() * sizeof(float), h);
 }
 
 TEST(LithoDeterminism, TccKernelsPinnedAtEveryThreadCount) {
@@ -198,6 +207,100 @@ TEST(LithoDeterminism, TccKernelsPinnedAtEveryThreadCount) {
     EXPECT_EQ(hash_kernel_set(dense), 0x54a3b19b68ba5aa3ULL) << t << " threads";
   }
   ThreadPool::reset(ThreadPool::default_thread_count());
+}
+
+/// Restores the process-wide dispatch level when a test body returns.
+struct LevelGuard {
+  SimdLevel saved = simd_level();
+  ~LevelGuard() { set_simd_level(saved); }
+};
+
+/// A clip-like target on an n x n grid: two lines, a contact array and an
+/// L-shaped jog, scaled to the grid so both geometries see the same layout.
+geom::Grid pinned_target(std::int32_t n, std::int32_t pixel_nm) {
+  geom::Grid t(n, n, pixel_nm);
+  const auto fill = [&](std::int32_t r0, std::int32_t r1, std::int32_t c0, std::int32_t c1) {
+    for (std::int32_t r = r0 * n / 64; r < r1 * n / 64; ++r)
+      for (std::int32_t c = c0 * n / 64; c < c1 * n / 64; ++c) t.at(r, c) = 1.0f;
+  };
+  fill(8, 56, 10, 14);
+  fill(8, 56, 20, 24);
+  for (std::int32_t i = 0; i < 3; ++i) fill(10 + 12 * i, 16 + 12 * i, 34, 40);
+  fill(44, 50, 30, 56);
+  fill(20, 50, 50, 56);
+  return t;
+}
+
+struct SocsHashes {
+  std::uint64_t aerial, grad_nominal, grad_corners;
+};
+
+/// Aerial image, single-dose gradient and three-corner gradient of one mask,
+/// each hashed. The simulator is built inside so its calibrated threshold
+/// comes from the active arm too.
+SocsHashes socs_hashes(const SocsKernels& kernels) {
+  const LithoSim sim(kernels, ResistConfig{});
+  const geom::Grid target = pinned_target(sim.grid_size(), sim.pixel_nm());
+  geom::Grid mask = target;
+  for (std::size_t i = 0; i < mask.data.size(); ++i)
+    mask.data[i] = 0.15f + 0.7f * mask.data[i] + 0.001f * static_cast<float>(i % 7);
+  LithoWorkspace ws;
+  geom::Grid aerial, grad;
+  SocsHashes h{};
+  sim.aerial_into(mask, aerial, ws);
+  h.aerial = hash_grid(aerial);
+  const float nominal[] = {1.0f};
+  sim.gradient_into(mask, target, nominal, grad, ws);
+  h.grad_nominal = hash_grid(grad);
+  const float corners[] = {0.98f, 1.0f, 1.02f};
+  sim.gradient_into(mask, target, corners, grad, ws);
+  h.grad_corners = hash_grid(grad);
+  return h;
+}
+
+TEST(LithoDeterminism, SocsOutputsPinnedPerArm) {
+  // The SOCS forward and adjoint passes may be restructured (transform
+  // batching, slab partitions, buffer layouts) but must keep every float
+  // operation and every per-pixel summation order, so their output bytes are
+  // fixed per dispatch arm and independent of the pool size. The hashes pin
+  // aerial_into and gradient_into at (256 px, 8 nm, 24 Abbe kernels) and
+  // (128 px, 16 nm, tcc:8). The gradient's resist sigmoid calls libm expf,
+  // so like the TCC pins above these values assume the platform libm.
+  const OpticsConfig optics;
+  const SocsKernels abbe = AbbeBackend().build(optics, 256, 8);
+  const SocsKernels tcc = make_litho_backend(parse_litho_backend("tcc:8"))->build(optics, 128, 16);
+  struct Pin {
+    SimdLevel arm;
+    const SocsKernels* kernels;
+    SocsHashes want;
+  };
+  const Pin pins[] = {
+      {SimdLevel::kScalar, &abbe,
+       {0xbe03a4d69dc6dc54ULL, 0xd1c99dc6a2375897ULL, 0x4fae94951694dafdULL}},
+      {SimdLevel::kScalar, &tcc,
+       {0xb392d8185f130064ULL, 0xbd924d00db5381beULL, 0xd599eb6f3dce3565ULL}},
+      {SimdLevel::kAvx2, &abbe,
+       {0x2e2adebaa00c88b6ULL, 0x347c6b238376a597ULL, 0x7876abf6621a138cULL}},
+      {SimdLevel::kAvx2, &tcc,
+       {0x29c10f17f7ff5cedULL, 0x2ce3aae02b8cd990ULL, 0xdd2ccd4131bc3aceULL}},
+  };
+  LevelGuard guard;
+  for (const Pin& pin : pins) {
+    if (pin.arm == SimdLevel::kAvx2 && !cpu_supports_avx2_fma()) continue;
+    set_simd_level(pin.arm);
+    for (const std::size_t t : {std::size_t{1}, std::size_t{3}}) {
+      ThreadPool::reset(t);
+      const SocsHashes got = socs_hashes(*pin.kernels);
+      SCOPED_TRACE(::testing::Message() << simd_level_name(pin.arm) << " grid "
+                                        << pin.kernels->grid_size() << ", " << t
+                                        << " threads");
+      EXPECT_EQ(got.aerial, pin.want.aerial) << "aerial_into";
+      EXPECT_EQ(got.grad_nominal, pin.want.grad_nominal) << "gradient_into, dose 1";
+      EXPECT_EQ(got.grad_corners, pin.want.grad_corners) << "gradient_into, 3 doses";
+    }
+  }
+  ThreadPool::reset(ThreadPool::default_thread_count());
+  if (!cpu_supports_avx2_fma()) GTEST_SKIP() << "CPU lacks AVX2+FMA; scalar pins checked";
 }
 
 }  // namespace
