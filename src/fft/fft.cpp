@@ -22,9 +22,10 @@ std::size_t next_pow2(std::size_t n) {
 
 namespace {
 
-/// The butterfly kernel for the active dispatch level. Resolved per
-/// transform so tests can flip `set_simd_level` between calls.
+/// The kernels for the active dispatch level. Resolved per pass so tests can
+/// flip `set_simd_level` between calls.
 inline FftInplaceFn active_fft() { return fft_inplace_for(simd_level()); }
+inline FftLanes8Fn active_lanes() { return lane_ops().fft; }
 
 /// Add `n` 1-D transforms to the `fft.transforms` work counter: one call per
 /// pass, and nothing at all while metrics are off.
@@ -34,15 +35,38 @@ void count_transforms(std::size_t n) {
   transforms.inc(n);
 }
 
-// Split the spectrum Z of the packed row z = x + i*y (x, y real) into the
-// spectra of x and y:  X[k] = (Z[k] + conj(Z[n-k]))/2,
-//                      Y[k] = -i/2 * (Z[k] - conj(Z[n-k])).
+/// The calling thread's batch buffer for n-point transforms (kBlock * n
+/// floats), grown on first use and kept: warm passes allocate nothing.
+float* lane_scratch(std::size_t n) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < kBlock * n) buf.resize(kBlock * n);
+  return buf.data();
+}
+
+/// Groups of kLanes transforms covering `count`.
+constexpr std::size_t lane_groups(std::size_t count) { return (count + kLanes - 1) / kLanes; }
+
+/// Lanes of group g of a `count`-transform pass.
+constexpr std::size_t lanes_in(std::size_t g, std::size_t count) {
+  return std::min(kLanes, count - kLanes * g);
+}
+
+/// Point k of lane j of natural-order blocks, as a complex value.
+inline cfloat point(const float* blocks, std::size_t k, std::size_t j) {
+  return {blocks[kBlock * k + j], blocks[kBlock * k + kLanes + j]};
+}
+
+// Split the spectrum Z of lane j of packed rows z = x + i*y (x, y real) into
+// the spectra of x and y:  X[k] = (Z[k] + conj(Z[n-k]))/2,
+//                          Y[k] = -i/2 * (Z[k] - conj(Z[n-k])).
 // Writes X into `xs` and Y into `ys` (full length n, Hermitian).
-void untangle_packed_rows(const cfloat* z, std::size_t n, cfloat* xs, cfloat* ys) {
+void untangle_packed_rows(const float* blocks, std::size_t j, std::size_t n, cfloat* xs,
+                          cfloat* ys) {
   for (std::size_t k = 0; k < n; ++k) {
-    const cfloat zc = std::conj(z[(n - k) & (n - 1)]);
-    const cfloat s = z[k] + zc;
-    const cfloat d = z[k] - zc;
+    const cfloat z = point(blocks, k, j);
+    const cfloat zc = std::conj(point(blocks, (n - k) & (n - 1), j));
+    const cfloat s = z + zc;
+    const cfloat d = z - zc;
     xs[k] = 0.5f * s;
     ys[k] = cfloat(0.5f * d.imag(), -0.5f * d.real());  // -i/2 * d
   }
@@ -63,39 +87,49 @@ void check_index_list(std::span<const std::size_t> list, std::size_t n, const ch
                      what << " must be strictly ascending and below " << n);
 }
 
-/// In-place 1-D transforms of rows index(0..count-1) of a row-major grid.
+/// In-place 1-D transforms of `count` lines of a row-major grid, kLanes per
+/// fft_lanes8 batch; a tail batch leaves its unused lanes out. Line i starts at
+/// data + index(i) * line_step and runs `n` points `stride` elements apart:
+/// rows are (line_step = width, stride 1), columns (1, width). With `live`,
+/// only those points are read: every other point enters the transform as an
+/// exact zero, whatever it holds. All points of a transformed line are written.
+template <typename Index>
+void lane_pass(cfloat* data, std::size_t n, std::size_t line_step, std::size_t stride,
+               std::size_t count, Index index, bool inverse,
+               const std::span<const std::size_t>* live = nullptr) {
+  const FftPlan& plan = plan_for(n);
+  const FftLanes8Fn kernel = active_lanes();
+  count_transforms(count);
+  // Batches are coarse, so parallel_for splits them evenly over the pool;
+  // parallel_for_chunks' 16-item quantum would leave most workers idle.
+  parallel_for(0, lane_groups(count), [&](std::size_t g) {
+    float* blocks = lane_scratch(n);
+    LaneGroup group;
+    group.stride = stride;
+    group.live = live;
+    group.lanes = lanes_in(g, count);
+    for (std::size_t j = 0; j < group.lanes; ++j)
+      group.lane[j] = data + index(kLanes * g + j) * line_step;
+    gather_lanes(group, plan, blocks);
+    kernel(blocks, plan, inverse);
+    scatter_lanes(group, n, blocks);
+  }, /*serial_threshold=*/2);
+}
+
+/// In-place 1-D transforms of rows index(0..count-1).
 template <typename Index>
 void row_pass(cfloat* data, std::size_t width, std::size_t count, Index index,
               bool inverse) {
-  const FftPlan& plan = plan_for(width);
-  const FftInplaceFn kernel = active_fft();
-  count_transforms(count);
-  parallel_for_chunks(0, count, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) kernel(data + index(i) * width, plan, inverse);
-  }, /*serial_threshold=*/8);
+  lane_pass(data, width, width, 1, count, index, inverse);
 }
 
-/// In-place 1-D transforms of columns index(0..count-1), four side by side
-/// per fft_cols4 group; a tail group of fewer columns leaves its unused lanes
-/// out. With `live_rows`, only those rows are read: every other row enters
-/// the transform as an exact zero, whatever it holds. All rows of a
-/// transformed column are written.
+/// In-place 1-D transforms of columns index(0..count-1), reading only
+/// `live_rows` when given.
 template <typename Index>
 void col_pass(cfloat* data, std::size_t height, std::size_t width, std::size_t count,
               Index index, bool inverse,
               const std::span<const std::size_t>* live_rows = nullptr) {
-  const FftPlan& plan = plan_for(height);
-  const FftCols4Fn kernel = fft_cols4_for(simd_level());
-  count_transforms(count);
-  parallel_for_chunks(0, (count + 3) / 4, [&](std::size_t g0, std::size_t g1) {
-    std::vector<cfloat> scratch(4 * height);
-    ColumnGroup group{data, width, {}, 4, live_rows};
-    for (std::size_t g = g0; g < g1; ++g) {
-      group.lanes = std::min<std::size_t>(4, count - 4 * g);
-      for (std::size_t j = 0; j < group.lanes; ++j) group.cols[j] = index(4 * g + j);
-      kernel(group, plan, inverse, scratch.data());
-    }
-  }, /*serial_threshold=*/2);
+  lane_pass(data, height, 1, width, count, index, inverse, live_rows);
 }
 
 /// irfft_2d whose column pass covers only columns [0, cols): the columns in
@@ -103,11 +137,10 @@ void col_pass(cfloat* data, std::size_t height, std::size_t width, std::size_t c
 void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t width,
                    std::size_t cols) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
-  const FftInplaceFn kernel = active_fft();
   const FftPlan& row_plan = plan_for(width);
   if (height == 1) {
     count_transforms(1);
-    kernel(spec, row_plan, true);
+    active_fft()(spec, row_plan, true);
     for (std::size_t c = 0; c < width; ++c) out[c] = spec[c].real();
     return;
   }
@@ -119,30 +152,43 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
 
   // Row pass at half cost: each row spectrum is Hermitian (its signal is
   // real), so two rows r, r+1 pack into one inverse transform whose real and
-  // imaginary parts are the two output rows. Upper-column bins are rebuilt
-  // from the mirror as they are consumed.
-  count_transforms(height / 2);
-  parallel_for_chunks(0, height / 2, [&](std::size_t p0, std::size_t p1) {
-    std::vector<cfloat> z(width);
-    for (std::size_t p = p0; p < p1; ++p) {
-      const cfloat* sr = spec + (2 * p) * width;
+  // imaginary parts are the two output rows; lane j of a batch is row pair
+  // kLanes*g + j. Upper-column bins are rebuilt from the mirror as they are
+  // consumed.
+  const std::size_t pairs = height / 2;
+  const FftLanes8Fn kernel = active_lanes();
+  count_transforms(pairs);
+  parallel_for(0, lane_groups(pairs), [&](std::size_t g) {
+    float* blocks = lane_scratch(width);
+    const std::size_t lanes = lanes_in(g, pairs);
+    if (lanes < kLanes) std::fill(blocks, blocks + kBlock * width, 0.0f);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const cfloat* sr = spec + (2 * (kLanes * g + j)) * width;
       const cfloat* si = sr + width;
-      for (std::size_t c = 0; c <= half_w; ++c)
-        z[c] = sr[c] + cfloat(-si[c].imag(), si[c].real());  // sr + i*si
-      for (std::size_t c = half_w + 1; c < width; ++c) {
-        const cfloat a = std::conj(sr[width - c]);
-        const cfloat b = std::conj(si[width - c]);
-        z[c] = a + cfloat(-b.imag(), b.real());
-      }
-      kernel(z.data(), row_plan, true);
-      float* xr = out + (2 * p) * width;
-      float* yr = xr + width;
       for (std::size_t c = 0; c < width; ++c) {
-        xr[c] = z[c].real();
-        yr[c] = z[c].imag();
+        cfloat z;
+        if (c <= half_w) {
+          z = sr[c] + cfloat(-si[c].imag(), si[c].real());  // sr + i*si
+        } else {
+          const cfloat a = std::conj(sr[width - c]);
+          const cfloat b = std::conj(si[width - c]);
+          z = a + cfloat(-b.imag(), b.real());
+        }
+        float* blk = blocks + kBlock * row_plan.bitrev[c];
+        blk[j] = z.real();
+        blk[kLanes + j] = z.imag();
       }
     }
-  }, /*serial_threshold=*/4);
+    kernel(blocks, row_plan, true);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      float* xr = out + (2 * (kLanes * g + j)) * width;
+      float* yr = xr + width;
+      for (std::size_t c = 0; c < width; ++c) {
+        xr[c] = blocks[kBlock * c + j];
+        yr[c] = blocks[kBlock * c + kLanes + j];
+      }
+    }
+  }, /*serial_threshold=*/2);
 }
 
 }  // namespace
@@ -179,18 +225,29 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
   }
   // Row pass at half cost: pack two real rows r, r+1 into one complex row,
   // transform once, untangle via Hermitian symmetry into both row spectra.
-  count_transforms(height / 2);
-  parallel_for_chunks(0, height / 2, [&](std::size_t p0, std::size_t p1) {
-    std::vector<cfloat> z(width);
-    for (std::size_t p = p0; p < p1; ++p) {
-      const float* x = in + (2 * p) * width;
+  // Lane j of a batch is row pair kLanes*g + j.
+  const std::size_t pairs = height / 2;
+  const FftLanes8Fn lanes_kernel = active_lanes();
+  count_transforms(pairs);
+  parallel_for(0, lane_groups(pairs), [&](std::size_t g) {
+    float* blocks = lane_scratch(width);
+    const std::size_t lanes = lanes_in(g, pairs);
+    if (lanes < kLanes) std::fill(blocks, blocks + kBlock * width, 0.0f);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const float* x = in + (2 * (kLanes * g + j)) * width;
       const float* y = x + width;
-      for (std::size_t c = 0; c < width; ++c) z[c] = cfloat(x[c], y[c]);
-      kernel(z.data(), row_plan, false);
-      untangle_packed_rows(z.data(), width, out + (2 * p) * width,
-                           out + (2 * p + 1) * width);
+      for (std::size_t c = 0; c < width; ++c) {
+        float* blk = blocks + kBlock * row_plan.bitrev[c];
+        blk[j] = x[c];
+        blk[kLanes + j] = y[c];
+      }
     }
-  }, /*serial_threshold=*/4);
+    lanes_kernel(blocks, row_plan, false);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      cfloat* xs = out + (2 * (kLanes * g + j)) * width;
+      untangle_packed_rows(blocks, j, width, xs, xs + width);
+    }
+  }, /*serial_threshold=*/2);
 
   // Column pass only up to the Nyquist column; the remaining columns follow
   // from F[r][c] = conj(F[(H-r)%H][(W-c)%W]) for real input.

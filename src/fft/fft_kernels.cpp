@@ -1,7 +1,6 @@
 #include "fft/fft_kernels.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "fft/plan.hpp"
 
@@ -33,50 +32,35 @@ void fft_inplace_scalar(cfloat* a, const FftPlan& plan, bool inverse) {
   }
 }
 
-namespace {
-
-/// Four adjacent columns: each row of the group is one 32-byte copy.
-bool contiguous(const ColumnGroup& g) { return g.lanes == 4 && g.cols[3] == g.cols[0] + 3; }
-
-}  // namespace
-
-void gather_cols4(const ColumnGroup& g, const FftPlan& plan, cfloat* buf) {
+void gather_lanes(const LaneGroup& g, const FftPlan& plan, float* blocks) {
   const std::size_t n = plan.n;
-  const bool dense = contiguous(g);
-  const auto load = [&](std::size_t r, cfloat* slot) {
-    const cfloat* row = g.data + r * g.width;
-    if (dense) {
-      std::memcpy(slot, row + g.cols[0], 4 * sizeof(cfloat));
-    } else {
-      for (std::size_t j = 0; j < g.lanes; ++j) slot[j] = row[g.cols[j]];
+  const auto load = [&](std::size_t point, float* blk) {
+    for (std::size_t j = 0; j < g.lanes; ++j) {
+      const cfloat v = g.lane[j][point * g.stride];
+      blk[j] = v.real();
+      blk[kLanes + j] = v.imag();
     }
   };
-  if (g.live_rows != nullptr || g.lanes < 4) std::fill(buf, buf + 4 * n, cfloat{});
-  if (g.live_rows != nullptr) {
-    for (const std::size_t r : *g.live_rows) load(r, buf + 4 * plan.bitrev[r]);
+  if (g.live != nullptr || g.lanes < kLanes) std::fill(blocks, blocks + kBlock * n, 0.0f);
+  if (g.live != nullptr) {
+    for (const std::size_t r : *g.live) load(r, blocks + kBlock * plan.bitrev[r]);
   } else {
-    for (std::size_t p = 0; p < n; ++p) load(plan.bitrev[p], buf + 4 * p);
+    for (std::size_t p = 0; p < n; ++p) load(plan.bitrev[p], blocks + kBlock * p);
   }
 }
 
-void scatter_cols4(const ColumnGroup& g, std::size_t n, const cfloat* buf) {
-  const bool dense = contiguous(g);
-  for (std::size_t r = 0; r < n; ++r) {
-    cfloat* row = g.data + r * g.width;
-    if (dense) {
-      std::memcpy(row + g.cols[0], buf + 4 * r, 4 * sizeof(cfloat));
-    } else {
-      for (std::size_t j = 0; j < g.lanes; ++j) row[g.cols[j]] = buf[4 * r + j];
-    }
+void scatter_lanes(const LaneGroup& g, std::size_t n, const float* blocks) {
+  for (std::size_t p = 0; p < n; ++p) {
+    const float* blk = blocks + kBlock * p;
+    for (std::size_t j = 0; j < g.lanes; ++j)
+      g.lane[j][p * g.stride] = cfloat(blk[j], blk[kLanes + j]);
   }
 }
 
-void fft_cols4_scalar(const ColumnGroup& g, const FftPlan& plan, bool inverse,
-                      cfloat* buf) {
-  // fft_inplace_scalar on four interleaved lanes: the same twiddle, product
-  // and sum per butterfly, so each lane is bitwise that kernel's output.
+void fft_lanes8_scalar(float* b, const FftPlan& plan, bool inverse) {
+  // fft_inplace_scalar on eight lanes: the same twiddle, product and sum per
+  // butterfly, so each lane is bitwise that kernel's output.
   const std::size_t n = plan.n;
-  gather_cols4(g, plan, buf);
   const cfloat* tw = plan.twiddle.data();
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
@@ -84,22 +68,24 @@ void fft_cols4_scalar(const ColumnGroup& g, const FftPlan& plan, bool inverse,
     for (std::size_t i = 0; i < n; i += len) {
       for (std::size_t k = 0; k < half; ++k) {
         const cfloat w = inverse ? std::conj(tw[k * step]) : tw[k * step];
-        cfloat* lo = buf + 4 * (i + k);
-        cfloat* hi = buf + 4 * (i + k + half);
-        for (std::size_t j = 0; j < 4; ++j) {
-          const cfloat u = lo[j];
-          const cfloat v = hi[j] * w;
-          lo[j] = u + v;
-          hi[j] = u - v;
+        float* lo = b + kBlock * (i + k);
+        float* hi = b + kBlock * (i + k + half);
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          const cfloat u(lo[j], lo[kLanes + j]);
+          const cfloat v = cfloat(hi[j], hi[kLanes + j]) * w;
+          const cfloat s = u + v, d = u - v;
+          lo[j] = s.real();
+          lo[kLanes + j] = s.imag();
+          hi[j] = d.real();
+          hi[kLanes + j] = d.imag();
         }
       }
     }
   }
   if (inverse) {
     const float inv_n = 1.0f / static_cast<float>(n);
-    for (std::size_t i = 0; i < 4 * n; ++i) buf[i] *= inv_n;
+    for (std::size_t i = 0; i < kBlock * n; ++i) b[i] *= inv_n;
   }
-  scatter_cols4(g, n, buf);
 }
 
 namespace {
@@ -108,20 +94,48 @@ void cmul_scalar(const cfloat* a, const cfloat* b, cfloat* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-void cmul_conj_real_scalar(const float* x, const cfloat* a, cfloat* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * std::conj(a[i]);
+/// Lane j of split block `b` as a complex value.
+inline cfloat lane(const float* b, std::size_t j) { return {b[j], b[kLanes + j]}; }
+
+// The split-block kernels below spell each lane as the std::complex
+// expression of the interleaved scalar kernel they replaced, so both compile
+// to the same operations.
+void lanes_cmul_scalar(const float* a, const float* b, float* out, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i, a += kBlock, b += kBlock, out += kBlock)
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const cfloat p = lane(a, j) * lane(b, j);
+      out[j] = p.real();
+      out[kLanes + j] = p.imag();
+    }
 }
 
-void norm_weighted_accum_scalar(const cfloat* f, double w, double* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += w * std::norm(f[i]);
+void lanes_cmul_conj_real_scalar(const float* x, const float* a, float* out,
+                                 std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i, x += kLanes, a += kBlock, out += kBlock)
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const cfloat p = x[j] * std::conj(lane(a, j));
+      out[j] = p.real();
+      out[kLanes + j] = p.imag();
+    }
 }
 
-void real_weighted_accum_scalar(const cfloat* f, double w, double* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += w * f[i].real();
+void lanes_norm_weighted_accum_scalar(const float* f, double w, double* acc,
+                                      std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i, f += kBlock, acc += kLanes)
+    for (std::size_t j = 0; j < kLanes; ++j) acc[j] += w * std::norm(lane(f, j));
 }
 
-constexpr VecOps kScalarOps = {cmul_scalar, cmul_conj_real_scalar,
-                               norm_weighted_accum_scalar, real_weighted_accum_scalar};
+void lanes_real_weighted_accum_scalar(const float* f, double w, double* acc,
+                                      std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i, f += kBlock, acc += kLanes)
+    for (std::size_t j = 0; j < kLanes; ++j) acc[j] += w * f[j];
+}
+
+constexpr VecOps kScalarOps = {cmul_scalar};
+constexpr LaneOps kScalarLaneOps = {fft_lanes8_scalar, lanes_cmul_scalar,
+                                    lanes_cmul_conj_real_scalar,
+                                    lanes_norm_weighted_accum_scalar,
+                                    lanes_real_weighted_accum_scalar};
 
 }  // namespace
 
@@ -133,8 +147,8 @@ FftInplaceFn fft_inplace_for(SimdLevel level) {
   return level == SimdLevel::kAvx2 ? fft_inplace_avx2 : fft_inplace_scalar;
 }
 
-FftCols4Fn fft_cols4_for(SimdLevel level) {
-  return level == SimdLevel::kAvx2 ? fft_cols4_avx2 : fft_cols4_scalar;
+const LaneOps& lane_ops(SimdLevel level) {
+  return level == SimdLevel::kAvx2 ? lane_ops_avx2() : kScalarLaneOps;
 }
 
 }  // namespace ganopc::fft

@@ -2,20 +2,27 @@
 //
 // Two arms per kernel, selected by ganopc::SimdLevel:
 //   - scalar: portable C++, the conformance reference; compiled everywhere.
-//   - avx2:   AVX2+FMA implementations in fft_avx2.cpp (a TU built with
-//             -mavx2 -mfma). On non-x86 builds the avx2 symbols forward to
+//   - avx2:   AVX2+FMA implementations in fft_avx2.cpp and lanes8_avx2.cpp
+//             (TUs built with -mavx2 -mfma). On non-x86 builds the avx2 symbols forward to
 //             scalar so the table is always complete; dispatch never selects
 //             them unless the cpuid probe passed.
 //
-// `fft_inplace` is the whole-transform butterfly kernel of every row pass.
-// `fft_cols4` is the column-pass kernel of every 2-D transform: it transforms
-// four grid columns side by side, one complex per lane, and each lane's output
-// is bitwise equal to `fft_inplace` of the same arm on that column, so moving
-// a transform between the two kernels never moves a bit. The VecOps entries
-// are the complex element-wise loops of the SOCS forward/adjoint passes
-// (src/litho): they live here because they operate on spectra and share the
-// complex-arithmetic SIMD layout with the butterflies. All kernels are deterministic: fixed evaluation order, no
-// data-dependent shortcuts, so each arm is bit-reproducible run-to-run.
+// `fft_inplace` is the whole-transform butterfly kernel of 1-D transforms.
+// `fft_lanes8` is the kernel of every 2-D row and column pass: it transforms
+// eight signals side by side in split-complex form (eight reals, then eight
+// imaginaries per point), so a butterfly is whole-vector arithmetic with no
+// shuffles, and each lane's output is bitwise equal to `fft_inplace` of the
+// same arm. The LaneOps entries are the element-wise loops of the SOCS
+// forward/adjoint passes (src/litho) on the same split blocks; they live here
+// because they share the split-complex SIMD layout with the butterflies. All
+// kernels are deterministic: fixed evaluation order, no data-dependent
+// shortcuts, so each arm is bit-reproducible run-to-run.
+//
+// The AVX2 split-complex kernels live in lanes8_avx2.cpp, built with
+// -ffp-contract=off: GCC's default contraction would fuse a separate multiply
+// and add (a norm re*re + im*im) into one FMA and move bits against the
+// interleaved kernels they reproduce. Every product that must fuse is an
+// explicit fma intrinsic.
 #pragma once
 
 #include <complex>
@@ -36,58 +43,76 @@ using FftInplaceFn = void (*)(cfloat* a, const FftPlan& plan, bool inverse);
 void fft_inplace_scalar(cfloat* a, const FftPlan& plan, bool inverse);
 void fft_inplace_avx2(cfloat* a, const FftPlan& plan, bool inverse);
 
-/// Up to four columns of a row-major complex grid, transformed as one group.
-struct ColumnGroup {
-  cfloat* data = nullptr;   ///< grid base
-  std::size_t width = 0;    ///< row stride in elements
-  std::size_t cols[4] = {}; ///< column of each lane, ascending
-  std::size_t lanes = 4;    ///< lanes in use, 1..4; the rest stay unwritten
-  /// Rows read (ascending); every other row enters the transform as an exact
-  /// zero, whatever it holds. nullptr reads every row.
-  const std::span<const std::size_t>* live_rows = nullptr;
+/// Lanes of the split-complex batch kernel, and floats per point of a batch:
+/// kLanes real parts, then kLanes imaginary parts.
+inline constexpr std::size_t kLanes = 8;
+inline constexpr std::size_t kBlock = 2 * kLanes;
+
+/// In-place plan.n-point transforms of kLanes independent signals held
+/// split-complex: `blocks` is plan.n blocks of kBlock floats, block p holding
+/// point p of every lane (lane j's real part at [j], its imaginary part at
+/// [kLanes + j]). The input is in bit-reversed order — block p holds input
+/// point bitrev[p], which the gathers fold in — and the output in natural
+/// order. Lane j's result is bitwise equal to `fft_inplace` of the same arm on
+/// that lane's signal, so moving a transform between the kernels never moves
+/// a bit.
+using FftLanes8Fn = void (*)(float* blocks, const FftPlan& plan, bool inverse);
+
+void fft_lanes8_scalar(float* blocks, const FftPlan& plan, bool inverse);
+void fft_lanes8_avx2(float* blocks, const FftPlan& plan, bool inverse);
+
+/// Up to kLanes strided complex signals of one grid, batched for fft_lanes8:
+/// columns (stride = row width) or rows (stride 1).
+struct LaneGroup {
+  cfloat* lane[kLanes] = {};    ///< point 0 of each used lane
+  std::size_t lanes = kLanes;   ///< lanes in use, 1..kLanes; the rest hold zeros
+  std::size_t stride = 1;       ///< elements between consecutive points of a lane
+  /// Points read (ascending); every other point enters the transform as an
+  /// exact zero, whatever it holds. nullptr reads every point.
+  const std::span<const std::size_t>* live = nullptr;
 };
 
-/// In-place plan.n-point transform of each column of `group`: every row of
-/// the group is one 4-lane vector in `scratch` (4 * plan.n elements), the
-/// bit-reversal permutation is folded into the gather, and all plan.n rows of
-/// each used lane are written back. Lane j's result is bitwise equal to
-/// `fft_inplace` of the same arm on column cols[j].
-using FftCols4Fn = void (*)(const ColumnGroup& group, const FftPlan& plan, bool inverse,
-                            cfloat* scratch);
+/// Load `g` into plan.n blocks in the bit-reversed order fft_lanes8 takes
+/// (zeros in unused lanes and unread points), and store natural-order blocks
+/// back to every point of each used lane. Pure data movement, shared by both
+/// arms.
+void gather_lanes(const LaneGroup& g, const FftPlan& plan, float* blocks);
+void scatter_lanes(const LaneGroup& g, std::size_t n, const float* blocks);
 
-void fft_cols4_scalar(const ColumnGroup& group, const FftPlan& plan, bool inverse,
-                      cfloat* scratch);
-void fft_cols4_avx2(const ColumnGroup& group, const FftPlan& plan, bool inverse,
-                    cfloat* scratch);
+/// Element-wise kernels on split-complex blocks for the SOCS passes
+/// (src/litho). Each lane gets exactly the arithmetic of the interleaved
+/// VecOps kernel of the same arm it replaced, so batching changes no bit.
+/// `count` is in blocks; accumulators hold kLanes doubles per block.
+struct LaneOps {
+  FftLanes8Fn fft;
+  /// out = a * b                      (VecOps::cmul per lane)
+  void (*cmul)(const float* a, const float* b, float* out, std::size_t count);
+  /// out = x * conj(a), x holding kLanes reals per block
+  void (*cmul_conj_real)(const float* x, const float* a, float* out, std::size_t count);
+  /// acc += w * |f|^2   (norm in float, accumulated in double)
+  void (*norm_weighted_accum)(const float* f, double w, double* acc, std::size_t count);
+  /// acc += w * Re(f)
+  void (*real_weighted_accum)(const float* f, double w, double* acc, std::size_t count);
+};
 
-/// Gather and scatter shared by both fft_cols4 arms: slot p of `buf` holds
-/// row bitrev[p] of the group (zeros in unused lanes and unread rows), and
-/// the scatter writes slot r back to row r of each used lane.
-void gather_cols4(const ColumnGroup& group, const FftPlan& plan, cfloat* buf);
-void scatter_cols4(const ColumnGroup& group, std::size_t n, const cfloat* buf);
-
-/// Element-wise spectrum kernels. Ranges are [0, n) over raw pointers; the
-/// litho layer calls them on deterministic per-thread chunks.
+/// Element-wise spectrum kernels on interleaved complex arrays. Ranges are
+/// [0, n) over raw pointers.
 struct VecOps {
   /// out[i] = a[i] * b[i]
   void (*cmul)(const cfloat* a, const cfloat* b, cfloat* out, std::size_t n);
-  /// out[i] = x[i] * conj(a[i])   (x real)
-  void (*cmul_conj_real)(const float* x, const cfloat* a, cfloat* out, std::size_t n);
-  /// acc[i] += w * |f[i]|^2       (norm computed in float, accumulated in double)
-  void (*norm_weighted_accum)(const cfloat* f, double w, double* acc, std::size_t n);
-  /// acc[i] += w * Re(f[i])
-  void (*real_weighted_accum)(const cfloat* f, double w, double* acc, std::size_t n);
 };
 
-/// Kernel table for an explicit arm — the conformance tier's entry point.
+/// Kernel tables for an explicit arm — the conformance tier's entry point.
 const VecOps& vec_ops(SimdLevel level);
+const LaneOps& lane_ops(SimdLevel level);
 
-/// The AVX2 element-wise table (forwards to scalar on non-x86 builds).
+/// The AVX2 tables (forward to scalar on non-x86 builds).
 const VecOps& vec_ops_avx2();
+const LaneOps& lane_ops_avx2();
 FftInplaceFn fft_inplace_for(SimdLevel level);
-FftCols4Fn fft_cols4_for(SimdLevel level);
 
 /// Tables for the active process-wide level (resolves ganopc::simd_level()).
 inline const VecOps& vec_ops() { return vec_ops(simd_level()); }
+inline const LaneOps& lane_ops() { return lane_ops(simd_level()); }
 
 }  // namespace ganopc::fft

@@ -10,6 +10,7 @@
 #include "common/status.hpp"
 #include "fft/fft.hpp"
 #include "fft/fft_kernels.hpp"
+#include "fft/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -31,61 +32,194 @@ void reshape_like(geom::Grid& g, std::int32_t n, std::int32_t pixel_nm,
   g.data.resize(static_cast<std::size_t>(n) * n);
 }
 
+// SOCS passes (Eq. 2 forward, Eq. 14 adjoint) on the split-complex batch
+// kernel fft::fft_lanes8 (DESIGN.md §7). A kernel spectrum H_k_hat is zero
+// outside its R support rows and C support columns, so each pass is
+//   rows:    R (or all n) row transforms, batched 8 rows per kernel call;
+//   columns: n column transforms, run per 8-column group over a column slab
+//            owned by one thread, every kernel in ascending order, each
+//            group's result folded into that group's accumulator at once.
+// Slabs only partition pixels and each pixel sums dose-major, then k
+// ascending, in double, so every thread count produces the same bytes. The
+// butterflies and element-wise products are those of the interleaved
+// kernels lane by lane; values that the band limits skip are exact zeros,
+// which can change no nonzero value and never reach the accumulators as a
+// sign.
+
+/// Number of 8-column groups (and 8-row groups) of an n-point axis.
+std::size_t lane_groups(std::size_t n) { return (n + fft::kLanes - 1) / fft::kLanes; }
+
+/// Per-thread batch buffers, grown on first use and kept warm.
+struct LaneScratch {
+  std::vector<float> blocks;   ///< one batch: n split-complex blocks
+  std::vector<float> a, b;     ///< product operands at the support columns
+  std::vector<float> support;  ///< adjoint row-pass output at the support columns
+  std::vector<float> tile;     ///< 8 blocks of row products before transposing
+
+  static LaneScratch& get(std::size_t n, std::size_t cols) {
+    thread_local LaneScratch s;
+    const auto grow = [](std::vector<float>& v, std::size_t len) {
+      if (v.size() < len) v.resize(len);
+    };
+    grow(s.blocks, fft::kBlock * n);
+    grow(s.a, fft::kBlock * cols);
+    grow(s.b, fft::kBlock * cols);
+    grow(s.support, fft::kBlock * n * lane_groups(cols));
+    grow(s.tile, fft::kBlock * fft::kLanes);
+    return s;
+  }
+};
+
+void count_transforms(std::size_t n) {
+  if (obs::metrics_enabled()) obs::counter("fft.transforms").inc(n);
+}
+
+/// Inverse row transforms of the band-limited products a .* H over rows
+/// `rows` and columns `cols` of an n x n spectrum, 8 rows per batch; every
+/// other bin enters as an exact zero. `fetch_a(i, c)` is operand a at row
+/// rows[i], column cols[c]; `hat` is the full interleaved kernel spectrum.
+/// Row i lands in `out` + i * groups * kBlock as 8-column blocks. `s` must
+/// have been sized for n points and cols.size() columns.
+template <typename FetchA>
+void support_rows_inverse(std::span<const std::size_t> rows, std::span<const std::size_t> cols,
+                          const cfloat* hat, FetchA fetch_a, const fft::FftPlan& plan,
+                          const fft::LaneOps& ops, LaneScratch& s, float* out) {
+  constexpr std::size_t L = fft::kLanes, B = fft::kBlock;
+  const std::size_t n = plan.n, groups = lane_groups(n), nc = cols.size();
+  float* blocks = s.blocks.data();
+  for (std::size_t i0 = 0; i0 < rows.size(); i0 += L) {
+    const std::size_t lanes = std::min(L, rows.size() - i0);
+    if (lanes < L) {
+      std::fill(s.a.begin(), s.a.begin() + B * nc, 0.0f);
+      std::fill(s.b.begin(), s.b.begin() + B * nc, 0.0f);
+    }
+    for (std::size_t c = 0; c < nc; ++c)
+      for (std::size_t j = 0; j < lanes; ++j) {
+        const cfloat va = fetch_a(i0 + j, c);
+        const cfloat vb = hat[rows[i0 + j] * n + cols[c]];
+        s.a[B * c + j] = va.real();
+        s.a[B * c + L + j] = va.imag();
+        s.b[B * c + j] = vb.real();
+        s.b[B * c + L + j] = vb.imag();
+      }
+    ops.cmul(s.a.data(), s.b.data(), s.a.data(), nc);
+    std::fill(blocks, blocks + B * n, 0.0f);
+    for (std::size_t c = 0; c < nc; ++c)
+      std::copy_n(s.a.data() + B * c, B, blocks + B * plan.bitrev[cols[c]]);
+    ops.fft(blocks, plan, /*inverse=*/true);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      float* row = out + (i0 + j) * groups * B;
+      if (n < L) std::fill(row, row + B, 0.0f);
+      for (std::size_t c = 0; c < n; ++c) {
+        float* dst = row + (c / L) * B + c % L;
+        dst[0] = blocks[B * c + j];
+        dst[L] = blocks[B * c + L + j];
+      }
+    }
+  }
+}
+
+/// Kernel k's compact rows in the workspace.
+float* compact_rows(LithoWorkspace& ws, int k) {
+  return ws.compact.data() + ws.compact_offset[static_cast<std::size_t>(k)];
+}
+
+/// Column pass of one 8-column group for kernel k: the compact rows `rows`
+/// (R of them) scattered to their bit-reversed slots of `blocks`, every other
+/// row zero, then inverse-transformed in place.
+void column_inverse(const float* compact, std::span<const std::size_t> rows, std::size_t g,
+                    const fft::FftPlan& plan, const fft::LaneOps& ops, float* blocks) {
+  constexpr std::size_t B = fft::kBlock;
+  const std::size_t n = plan.n, groups = lane_groups(n);
+  std::fill(blocks, blocks + B * n, 0.0f);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    std::copy_n(compact + (i * groups + g) * B, B, blocks + B * plan.bitrev[rows[i]]);
+  ops.fft(blocks, plan, /*inverse=*/true);
+}
+
+/// Row-major pixel (r, c) of 8-column group g = c / 8 in the block-ordered
+/// accumulator layout: group g holds n rows of 8 pixels.
+std::size_t block_index(std::size_t n, std::size_t r, std::size_t c) {
+  return (c / fft::kLanes * n + r) * fft::kLanes + c % fft::kLanes;
+}
+
 // The one SOCS forward implementation (Eq. 2): mask FFT, per-kernel coherent
-// fields A_k = IFFT(H_k_hat .* mask_hat) parallelized over kernels, then the
-// intensity I = sum_k w_k |A_k|^2 reduced per pixel in ascending-k order.
-// H_k_hat is zero outside its support rows, so only those rows are multiplied
-// and inverse-transformed (DESIGN.md §7). Blocks only partition
-// pixels/kernels — every thread count produces bit-identical output. Shared by LithoSim::aerial_into, the gradient's
-// forward pass and threshold calibration, so tests cover one implementation.
+// fields A_k = IFFT(H_k_hat .* mask_hat), then the intensity
+// I = sum_k w_k |A_k|^2 reduced per pixel in ascending-k order. With
+// `store_fields` the fields are kept in ws.fields for the gradient's adjoint;
+// aerial-only callers (aerial images, the gate, the PV band, threshold
+// calibration) skip the store. Shared by every caller, so tests cover one
+// implementation.
 void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
-                  geom::Grid& aerial_image, LithoWorkspace& ws) {
+                  geom::Grid& aerial_image, LithoWorkspace& ws, bool store_fields) {
+  constexpr std::size_t L = fft::kLanes, B = fft::kBlock;
   const std::int32_t n = kernels.grid_size();
   const auto un = static_cast<std::size_t>(n);
-  const std::size_t npx = un * un;
+  const std::size_t npx = un * un, groups = lane_groups(un);
   const int num_k = kernels.count();
-  if (ws.ensure_forward(num_k, npx) && obs::metrics_enabled())
+  const auto nk = static_cast<std::size_t>(num_k);
+  // Kernel k's compact rows serve its forward and its adjoint support rows.
+  const auto compact_len = [&](int k) {
+    return std::max(kernels.support(k).rows.size(), kernels.support_flipped(k).rows.size()) *
+           groups * B;
+  };
+  std::size_t compact_floats = 0;
+  for (int k = 0; k < num_k; ++k) compact_floats += compact_len(k);
+  if (ws.ensure_forward(num_k, npx, compact_floats, groups * un * L,
+                        store_fields ? nk * groups * un * B : 0) &&
+      obs::metrics_enabled())
     obs::counter("litho.workspace.grows").inc();
+  for (int k = 0, off = 0; k < num_k; off += static_cast<int>(compact_len(k)), ++k) {
+    ws.compact_offset[static_cast<std::size_t>(k)] = static_cast<std::size_t>(off);
+    ws.weights[static_cast<std::size_t>(k)] = kernels.weight(k);
+  }
 
   // Masks are real, so the forward transform runs the half-cost real-input
   // path; the full Hermitian spectrum comes out in the usual layout.
   fft::rfft_2d(mask.data.data(), ws.mask_hat.data(), un, un);
 
-  for (int k = 0; k < num_k; ++k) ws.weights[static_cast<std::size_t>(k)] = kernels.weight(k);
+  const fft::FftPlan& plan = fft::plan_for(un);
+  const fft::LaneOps& ops = fft::lane_ops();
+  // Rows: per kernel, the support rows of H_k_hat .* mask_hat.
+  std::size_t row_transforms = 0;
+  for (int k = 0; k < num_k; ++k) row_transforms += kernels.support(k).rows.size();
+  count_transforms(row_transforms + nk * un);
+  // Kernels and column groups are coarse items: parallel_for splits them
+  // evenly over the pool (parallel_for_chunks' 16-item quantum would not).
+  parallel_for(0, nk, [&](std::size_t k) {
+    const auto& sup = kernels.support(static_cast<int>(k));
+    const cfloat* mask_hat = ws.mask_hat.data();
+    support_rows_inverse(
+        sup.rows, sup.cols, kernels.freq_kernel(static_cast<int>(k)).data(),
+        [&](std::size_t i, std::size_t c) { return mask_hat[sup.rows[i] * un + sup.cols[c]]; },
+        plan, ops, LaneScratch::get(un, sup.cols.size()), compact_rows(ws, static_cast<int>(k)));
+  }, /*serial_threshold=*/2);
 
-  const fft::VecOps& ops = fft::vec_ops();
-  // Coherent fields: one kernel per unit of work; each worker's nested FFT
-  // parallelism degrades to serial inside the pool (no oversubscription).
-  ThreadPool::instance().parallel_blocks(
-      static_cast<std::size_t>(num_k),
-      [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
-        for (std::size_t k = kb; k < ke; ++k) {
-          cfloat* field = ws.fields[k].data();
-          const cfloat* hat = kernels.freq_kernel(static_cast<int>(k)).data();
-          const auto& rows = kernels.support(static_cast<int>(k)).rows;
-          for (const std::size_t r : rows)
-            ops.cmul(ws.mask_hat.data() + r * un, hat + r * un, field + r * un, un);
-          fft::ifft_2d_rows(field, un, un, rows);
-        }
-      });
-
+  // Columns: each thread owns a slab of 8-column groups.
   reshape_like(aerial_image, n, kernels.pixel_nm(), mask);
-  parallel_for_chunks(0, npx, [&](std::size_t b, std::size_t e) {
-    double* acc = ws.acc.data();
-    std::fill(acc + b, acc + e, 0.0);
+  parallel_for(0, groups, [&](std::size_t g) {
+    float* scratch = LaneScratch::get(un, 0).blocks.data();
+    double* acc = ws.acc.data() + g * un * L;
+    std::fill(acc, acc + un * L, 0.0);
     for (int k = 0; k < num_k; ++k) {
-      const double w = ws.weights[static_cast<std::size_t>(k)];
-      const cfloat* f = ws.fields[static_cast<std::size_t>(k)].data();
-      ops.norm_weighted_accum(f + b, w, acc + b, e - b);
+      float* blocks = store_fields
+                          ? ws.fields.data() + (static_cast<std::size_t>(k) * groups + g) * un * B
+                          : scratch;
+      column_inverse(compact_rows(ws, k), kernels.support(k).rows, g, plan, ops, blocks);
+      ops.norm_weighted_accum(blocks, ws.weights[static_cast<std::size_t>(k)], acc, un);
     }
     float* out = aerial_image.data.data();
-    for (std::size_t i = b; i < e; ++i) out[i] = static_cast<float>(acc[i]);
-  }, /*serial_threshold=*/1024);
+    const std::size_t lanes = std::min(L, un - g * L);
+    for (std::size_t r = 0; r < un; ++r)
+      for (std::size_t j = 0; j < lanes; ++j)
+        out[r * un + g * L + j] = static_cast<float>(acc[r * L + j]);
+  }, /*serial_threshold=*/2);
 }
 
 // Threshold calibration: image a wide vertical stripe and take the intensity
 // at its geometric edge, so large features print at drawn size. Runs through
-// the same socs_forward path as every aerial image.
+// the same aerial-only socs_forward path as every aerial image, so it stores
+// no fields.
 float calibrate_threshold(const SocsKernels& kernels) {
   const std::int32_t n = kernels.grid_size();
   geom::Grid stripe(n, n, kernels.pixel_nm());
@@ -95,7 +229,7 @@ float calibrate_threshold(const SocsKernels& kernels) {
 
   geom::Grid intensity;
   LithoWorkspace ws;
-  socs_forward(kernels, stripe, intensity, ws);
+  socs_forward(kernels, stripe, intensity, ws, /*store_fields=*/false);
   // The geometric edge lies between pixel centers c0-1 and c0; average the
   // two along the stripe's mid row.
   const float* mid = intensity.data.data() + static_cast<std::size_t>(n / 2) * n;
@@ -134,7 +268,7 @@ void LithoSim::aerial_into(const geom::Grid& mask, geom::Grid& aerial_image,
                            LithoWorkspace& ws) const {
   GANOPC_OBS_SPAN("litho.aerial");
   check_geometry(mask);
-  socs_forward(kernels_, mask, aerial_image, ws);
+  socs_forward(kernels_, mask, aerial_image, ws, /*store_fields=*/false);
 }
 
 geom::Grid LithoSim::aerial(const geom::Grid& mask) const {
@@ -190,7 +324,7 @@ LithoSim::ForwardResult LithoSim::forward_relaxed(const geom::Grid& mask_b,
   check_geometry(target);
   GANOPC_CHECK(dose > 0.0f);
   ForwardResult result;
-  socs_forward(kernels_, mask_b, result.aerial_image, ws);
+  socs_forward(kernels_, mask_b, result.aerial_image, ws, /*store_fields=*/false);
   result.wafer_relaxed = relaxed_wafer(result.aerial_image, dose);
   double err = 0.0;
   for (std::size_t i = 0; i < target.data.size(); ++i) {
@@ -221,16 +355,25 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
   const int num_k = kernels_.count();
 
   // Forward fields A_k are computed once and shared by every dose corner.
-  socs_forward(kernels_, mask_b, ws.aerial_scratch, ws);
-  if (ws.ensure_adjoint(num_k, npx) && obs::metrics_enabled())
+  socs_forward(kernels_, mask_b, ws.aerial_scratch, ws, /*store_fields=*/true);
+  if (ws.ensure_adjoint(ws.acc.size()) && obs::metrics_enabled())
     obs::counter("litho.workspace.grows").inc();
 
+  constexpr std::size_t L = fft::kLanes, B = fft::kBlock;
+  const std::size_t groups = lane_groups(un);
+  const fft::FftPlan& plan = fft::plan_for(un);
+  const fft::LaneOps& ops = fft::lane_ops();
   double* acc = ws.acc.data();
-  std::fill(acc, acc + npx, 0.0);
+  std::fill(acc, acc + groups * un * L, 0.0);
+  std::size_t transforms_per_dose = 0;
+  for (int k = 0; k < num_k; ++k) {
+    const auto& sup = kernels_.support_flipped(k);
+    transforms_per_dose += un + sup.cols.size() + sup.rows.size() + un;
+  }
   const float alpha = resist_.sigmoid_alpha;
   // Dose corners accumulate serially (fixed order); within a dose, the
-  // per-kernel adjoint transforms are independent and the per-pixel sum runs
-  // in ascending-k order — deterministic at any thread count.
+  // per-kernel row passes are independent and the per-pixel sum runs in
+  // ascending-k order — deterministic at any thread count.
   for (const float dose : doses) {
     // X = dE/dI = 2 (Z - Z_t) .* alpha * dose * Z (1 - Z)   (real-valued);
     // the dose factor comes from Z = sigmoid(alpha (dose*I - I_th)).
@@ -240,46 +383,92 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
       for (std::size_t i = b; i < e; ++i) {
         const float zi =
             1.0f / (1.0f + std::exp(-alpha * (intensity[i] * dose - threshold_)));
-        x[i] = 2.0f * (zi - target.data[i]) * alpha * dose * zi * (1.0f - zi);
+        x[block_index(un, i / un, i % un)] =
+            2.0f * (zi - target.data[i]) * alpha * dose * zi * (1.0f - zi);
       }
     }, /*serial_threshold=*/1024);
 
     // dE/dM = sum_k w_k * 2 Re( (X .* conj(A_k)) correlated with h_k )
     //       = sum_k w_k * 2 Re( IFFT( FFT(X .* conj(A_k)) .* H_k_hat(-f) ) ).
     // This is the frequency-domain form of Eq. (14)'s two convolution terms
-    // (conv with H and with H*), fused via the 2 Re(.) identity.
-    const fft::VecOps& ops = fft::vec_ops();
-    ThreadPool::instance().parallel_blocks(
-        static_cast<std::size_t>(num_k),
-        [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
-          for (std::size_t k = kb; k < ke; ++k) {
-            cfloat* buf = ws.adjoint[k].data();
-            ops.cmul_conj_real(ws.x.data(), ws.fields[k].data(), buf, npx);
-            // Only the flipped kernel's support survives the product, so the
-            // forward transform needs just its columns, and the inverse just
-            // its rows.
-            const auto& support = kernels_.support_flipped(static_cast<int>(k));
-            fft::fft_2d_cols(buf, un, un, support.cols);
-            const cfloat* hat_flipped = kernels_.freq_kernel_flipped(static_cast<int>(k)).data();
-            for (const std::size_t r : support.rows)
-              ops.cmul(buf + r * un, hat_flipped + r * un, buf + r * un, un);
-            fft::ifft_2d_rows(buf, un, un, support.rows);
+    // (conv with H and with H*), fused via the 2 Re(.) identity. Only the
+    // flipped kernel's support survives the product, so the forward row
+    // transforms keep just its C columns, the column transforms run on those
+    // columns only, and the inverse needs just its R rows.
+    count_transforms(transforms_per_dose);
+    parallel_for(0, static_cast<std::size_t>(num_k), [&](std::size_t k) {
+      const auto& sup = kernels_.support_flipped(static_cast<int>(k));
+      const std::size_t nc = sup.cols.size();
+      LaneScratch& s = LaneScratch::get(un, nc);
+      float* blocks = s.blocks.data();
+      float* support = s.support.data();
+      const float* field = ws.fields.data() + k * groups * un * B;
+      // Unused lanes of the last support-column batch transform zeros.
+      if (nc % L != 0)
+        for (std::size_t p = 0; p < un; ++p)
+          std::fill_n(support + ((nc / L) * un + p) * B, B, 0.0f);
+      // Forward row transforms of X .* conj(A_k), 8 rows per batch: the
+      // products come straight from the field blocks, one 8x8 tile per
+      // column group, transposed into the rows' lanes.
+      for (std::size_t r0 = 0; r0 < un; r0 += L) {
+        const std::size_t lanes = std::min(L, un - r0);
+        if (lanes < L) std::fill(blocks, blocks + B * un, 0.0f);
+        for (std::size_t g = 0; g < groups; ++g) {
+          float* tile = s.tile.data();
+          ops.cmul_conj_real(ws.x.data() + (g * un + r0) * L,
+                             field + (g * un + r0) * B, tile, lanes);
+          const std::size_t cols = std::min(L, un - g * L);
+          for (std::size_t i = 0; i < cols; ++i) {
+            float* dst = blocks + B * plan.bitrev[g * L + i];
+            for (std::size_t j = 0; j < lanes; ++j) {
+              dst[j] = tile[B * j + i];
+              dst[L + j] = tile[B * j + L + i];
+            }
           }
-        });
+        }
+        ops.fft(blocks, plan, /*inverse=*/false);
+        // Keep the support columns, as column batches in the
+        // bit-reversed row order the column transform reads.
+        for (std::size_t c = 0; c < nc; ++c) {
+          const float* src = blocks + B * sup.cols[c];
+          float* dst = support + (c / L) * un * B + c % L;
+          for (std::size_t j = 0; j < lanes; ++j) {
+            float* slot = dst + B * plan.bitrev[r0 + j];
+            slot[0] = src[j];
+            slot[L] = src[L + j];
+          }
+        }
+      }
+      // Forward column transforms of the support columns, in place.
+      for (std::size_t cg = 0; cg < lane_groups(nc); ++cg)
+        ops.fft(support + cg * un * B, plan, /*inverse=*/false);
+      // Product with H_k_hat(-f) on the support rows, inverse rows.
+      support_rows_inverse(
+          sup.rows, sup.cols, kernels_.freq_kernel_flipped(static_cast<int>(k)).data(),
+          [&](std::size_t i, std::size_t c) {
+            const float* slot = support + ((c / L) * un + sup.rows[i]) * B + c % L;
+            return cfloat(slot[0], slot[L]);
+          },
+          plan, ops, s, compact_rows(ws, static_cast<int>(k)));
+    }, /*serial_threshold=*/2);
 
-    parallel_for_chunks(0, npx, [&](std::size_t b, std::size_t e) {
+    // Inverse column transforms per slab, each folded into 2 w_k Re(.).
+    parallel_for(0, groups, [&](std::size_t g) {
+      float* blocks = LaneScratch::get(un, 0).blocks.data();
       for (int k = 0; k < num_k; ++k) {
         const double w2 = 2.0 * ws.weights[static_cast<std::size_t>(k)];
-        const cfloat* buf = ws.adjoint[static_cast<std::size_t>(k)].data();
-        ops.real_weighted_accum(buf + b, w2, acc + b, e - b);
+        column_inverse(compact_rows(ws, k), kernels_.support_flipped(k).rows, g, plan, ops,
+                       blocks);
+        ops.real_weighted_accum(blocks, w2, acc + g * un * L, un);
       }
-    }, /*serial_threshold=*/1024);
+    }, /*serial_threshold=*/2);
   }
 
   reshape_like(grad_out, n, pixel_nm(), mask_b);
   const double inv_d = 1.0 / static_cast<double>(doses.size());
-  for (std::size_t i = 0; i < npx; ++i)
-    grad_out.data[i] = static_cast<float>(acc[i] * inv_d);
+  for (std::size_t r = 0; r < un; ++r)
+    for (std::size_t c = 0; c < un; ++c)
+      grad_out.data[r * un + c] = static_cast<float>(acc[block_index(un, r, c)] * inv_d);
 
   // Robustness tier: simulate the numeric faults (denormal blow-ups, FFT
   // overflow) that ILILT reports on hard patterns. The ILT watchdog must

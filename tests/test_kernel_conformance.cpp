@@ -235,31 +235,83 @@ TEST(FftKernelConformance, VecOpsMatchScalar) {
     for (const std::size_t off : kOffsets) {
       const std::vector<cfloat> a = random_complex(rng, n + off);
       const std::vector<cfloat> b = random_complex(rng, n + off);
-      const std::vector<float> x = random_floats(rng, n + off, -1.0f, 1.0f);
-
       std::vector<cfloat> os(n + off), ov(n + off);
       sc.cmul(a.data() + off, b.data() + off, os.data() + off, n);
       vx.cmul(a.data() + off, b.data() + off, ov.data() + off, n);
       EXPECT_LE(max_abs_diff(os.data() + off, ov.data() + off, n), 1e-5f)
           << "cmul n=" << n << " off=" << off;
+    }
+  }
+}
 
-      sc.cmul_conj_real(x.data() + off, a.data() + off, os.data() + off, n);
-      vx.cmul_conj_real(x.data() + off, a.data() + off, ov.data() + off, n);
-      EXPECT_LE(max_abs_diff(os.data() + off, ov.data() + off, n), 1e-5f)
-          << "cmul_conj_real n=" << n << " off=" << off;
+/// Lane j of split block `b`.
+cfloat lane_of(const float* b, std::size_t j) { return {b[j], b[fft::kLanes + j]}; }
 
-      std::vector<double> accs(n + off, 0.5), accv(n + off, 0.5);
-      sc.norm_weighted_accum(a.data() + off, 0.37, accs.data() + off, n);
-      vx.norm_weighted_accum(a.data() + off, 0.37, accv.data() + off, n);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(accs[off + i], accv[off + i], 1e-6)
-            << "norm_weighted_accum n=" << n << " off=" << off << " i=" << i;
+TEST(FftKernelConformance, LaneOpsAreBitwiseTheInterleavedArithmetic) {
+  // Each split-block kernel must give every lane exactly the arithmetic of
+  // the interleaved kernel it replaced: std::complex expressions on the
+  // scalar arm; on the AVX2 arm the cmul4 decomposition (one rounded product
+  // inside an fma) and double-precision fma accumulation. The references
+  // spell those out with std::fma, which rounds once like the instructions.
+  Prng rng(209);
+  const std::size_t kB = fft::kBlock, kL = fft::kLanes;
+  for (const SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    if (lvl == SimdLevel::kAvx2 && !have_avx2()) continue;
+    const bool avx2 = lvl == SimdLevel::kAvx2;
+    const fft::LaneOps& ops = fft::lane_ops(lvl);
+    for (const std::size_t count : {1u, 2u, 5u, 32u}) {
+      for (const std::size_t off : kOffsets) {
+        SCOPED_TRACE(::testing::Message() << simd_level_name(lvl) << " count=" << count
+                                          << " off=" << off);
+        std::vector<float> a = random_floats(rng, kB * count + off, -1.0f, 1.0f);
+        const std::vector<float> b = random_floats(rng, kB * count + off, -1.0f, 1.0f);
+        const std::vector<float> x = random_floats(rng, kL * count + off, -1.0f, 1.0f);
+        a[off] = 0.0f;  // exact zeros keep their sign rules
+        a[off + kL] = -0.0f;
+        std::vector<float> out(kB * count + off);
+        std::vector<double> acc(kL * count + off, 0.25), ref_acc = acc;
 
-      sc.real_weighted_accum(a.data() + off, 0.37, accs.data() + off, n);
-      vx.real_weighted_accum(a.data() + off, 0.37, accv.data() + off, n);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(accs[off + i], accv[off + i], 1e-6)
-            << "real_weighted_accum n=" << n << " off=" << off << " i=" << i;
+        ops.cmul(a.data() + off, b.data() + off, out.data() + off, count);
+        for (std::size_t i = 0; i < count; ++i)
+          for (std::size_t j = 0; j < kL; ++j) {
+            const cfloat va = lane_of(a.data() + off + kB * i, j);
+            const cfloat vb = lane_of(b.data() + off + kB * i, j);
+            const cfloat want =
+                avx2 ? cfloat(std::fma(va.real(), vb.real(), -(va.imag() * vb.imag())),
+                              std::fma(va.real(), vb.imag(), va.imag() * vb.real()))
+                     : va * vb;
+            const cfloat got = lane_of(out.data() + off + kB * i, j);
+            ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(cfloat))) << "cmul " << i << "," << j;
+          }
+
+        ops.cmul_conj_real(x.data() + off, a.data() + off, out.data() + off, count);
+        for (std::size_t i = 0; i < count; ++i)
+          for (std::size_t j = 0; j < kL; ++j) {
+            const cfloat want = x[off + kL * i + j] * std::conj(lane_of(a.data() + off + kB * i, j));
+            const cfloat got = lane_of(out.data() + off + kB * i, j);
+            ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(cfloat)))
+                << "cmul_conj_real " << i << "," << j;
+          }
+
+        ops.norm_weighted_accum(a.data() + off, 0.37, acc.data() + off, count);
+        ops.real_weighted_accum(b.data() + off, 0.59, acc.data() + off, count);
+        for (std::size_t i = 0; i < count; ++i)
+          for (std::size_t j = 0; j < kL; ++j) {
+            const cfloat va = lane_of(a.data() + off + kB * i, j);
+            const float re = b[off + kB * i + j];
+            double& r = ref_acc[off + kL * i + j];
+            if (avx2) {
+              const float sq_re = va.real() * va.real(), sq_im = va.imag() * va.imag();
+              r = std::fma(0.37, static_cast<double>(sq_re + sq_im), r);
+              r = std::fma(0.59, static_cast<double>(re), r);
+            } else {
+              r += 0.37 * std::norm(va);
+              r += 0.59 * re;
+            }
+            ASSERT_EQ(0, std::memcmp(&acc[off + kL * i + j], &r, sizeof(double)))
+                << "weighted accumulation " << i << "," << j;
+          }
+      }
     }
   }
 }
@@ -329,7 +381,7 @@ TEST(FftKernelConformance, ArmsAreRunToRunDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched column kernel: fft_cols4 lane by lane against fft_inplace, bitwise
+// Split-complex batch kernel: fft_lanes8 lane by lane against fft_inplace
 // ---------------------------------------------------------------------------
 
 /// The dispatch arms present on this machine.
@@ -339,78 +391,98 @@ std::vector<SimdLevel> present_arms() {
   return arms;
 }
 
-/// Column `c` of an h x w grid run through `row_kernel`, reading the rows
-/// outside `live` (when given) as zero.
-std::vector<cfloat> reference_column(fft::FftInplaceFn row_kernel, const cfloat* grid,
-                                     std::size_t h, std::size_t w, std::size_t c,
-                                     const std::vector<std::size_t>* live, bool inverse) {
-  std::vector<cfloat> col(h, cfloat{});
+/// Line `i` of a grid (row i when `rows`, else column i) run through
+/// `row_kernel`, reading the points outside `live` (when given) as zero.
+std::vector<cfloat> reference_line(fft::FftInplaceFn row_kernel, const cfloat* grid,
+                                   std::size_t n, std::size_t w, std::size_t i, bool rows,
+                                   const std::vector<std::size_t>* live, bool inverse) {
+  const auto at = [&](std::size_t p) { return rows ? grid[i * n + p] : grid[p * w + i]; };
+  std::vector<cfloat> line(n, cfloat{});
   if (live != nullptr) {
-    for (const std::size_t r : *live) col[r] = grid[r * w + c];
+    for (const std::size_t p : *live) line[p] = at(p);
   } else {
-    for (std::size_t r = 0; r < h; ++r) col[r] = grid[r * w + c];
+    for (std::size_t p = 0; p < n; ++p) line[p] = at(p);
   }
-  row_kernel(col.data(), fft::plan_for(h), inverse);
-  return col;
+  row_kernel(line.data(), fft::plan_for(n), inverse);
+  return line;
 }
 
-TEST(FftCols4Conformance, EveryLaneIsBitwiseTheRowKernel) {
-  const std::size_t w = 11;
-  // Dense (contiguous) groups, spread-out listed columns, and tail groups of
-  // 3, 2 and 1 lanes, contiguous and spread.
-  const std::vector<std::vector<std::size_t>> groups = {
-      {0, 1, 2, 3}, {7, 8, 9, 10}, {0, 3, 6, 10}, {8, 9, 10}, {1, 5, 9}, {4, 5}, {2, 10}, {6}};
+TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
+  // Lines of an n-point axis: `lines` = 13 columns of an n x 13 grid, or 13
+  // rows of a 13 x n grid. Every lane count 1..8, adjacent and spread lines.
+  const std::size_t lines = 13;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t l = 1; l <= fft::kLanes; ++l) {
+    std::vector<std::size_t> adjacent, spread;
+    for (std::size_t j = 0; j < l; ++j) {
+      adjacent.push_back(lines - l + j);
+      spread.push_back((j * 5 + l) % lines);
+    }
+    std::sort(spread.begin(), spread.end());
+    spread.erase(std::unique(spread.begin(), spread.end()), spread.end());
+    groups.push_back(adjacent);
+    groups.push_back(spread);
+  }
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const SimdLevel lvl : present_arms()) {
-    const fft::FftCols4Fn cols4 = fft::fft_cols4_for(lvl);
+    const fft::FftLanes8Fn lanes8 = fft::lane_ops(lvl).fft;
     const fft::FftInplaceFn row_kernel = fft::fft_inplace_for(lvl);
     Prng rng(207);
-    for (std::size_t h = 1; h <= 1024; h *= 2) {
+    for (std::size_t n = 1; n <= 1024; n *= 2) {
+      const fft::FftPlan& plan = fft::plan_for(n);
       std::vector<std::size_t> live;
-      for (std::size_t r = 0; r < h; ++r)
-        if (rng.uniform(0.0, 1.0) < 0.3) live.push_back(r);
+      for (std::size_t p = 0; p < n; ++p)
+        if (rng.uniform(0.0, 1.0) < 0.3) live.push_back(p);
       const std::span<const std::size_t> live_span(live);
-      for (const bool inverse : {false, true}) {
-        for (const bool pruned : {false, true}) {
-          for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            const std::vector<std::size_t>& cols = groups[gi];
-            // Unaligned grid and scratch: start 0, 1 or 3 complex past the
-            // allocation.
-            const std::size_t off = kOffsets[gi % std::size(kOffsets)];
-            SCOPED_TRACE(::testing::Message()
-                         << simd_level_name(lvl) << " h=" << h << " inverse=" << inverse
-                         << " pruned=" << pruned << " group=" << gi << " off=" << off);
-            std::vector<cfloat> buf = random_complex(rng, h * w + off);
-            cfloat* grid = buf.data() + off;
-            // A pruned transform must never read an unlisted row.
-            if (pruned)
-              for (std::size_t r = 0; r < h; ++r)
-                if (!std::binary_search(live.begin(), live.end(), r))
-                  for (std::size_t c = 0; c < w; ++c) grid[r * w + c] = {nan, nan};
-            const std::vector<cfloat> before = buf;
+      for (const bool rows : {false, true}) {
+        for (const bool inverse : {false, true}) {
+          for (const bool pruned : {false, true}) {
+            for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+              const std::vector<std::size_t>& sel = groups[gi];
+              // Unaligned grid and blocks: start 0, 1 or 3 elements past the
+              // allocation.
+              const std::size_t off = kOffsets[gi % std::size(kOffsets)];
+              SCOPED_TRACE(::testing::Message()
+                           << simd_level_name(lvl) << " n=" << n << " rows=" << rows
+                           << " inverse=" << inverse << " pruned=" << pruned
+                           << " group=" << gi << " off=" << off);
+              std::vector<cfloat> buf = random_complex(rng, n * lines + off);
+              cfloat* grid = buf.data() + off;
+              // Exact zeros of both signs, which the butterflies must carry
+              // through exactly as the row kernel does.
+              for (std::size_t i = 0; i < n * lines; i += 7) grid[i] = {0.0f, -0.0f};
+              const auto index = [&](std::size_t p, std::size_t i) {
+                return rows ? i * n + p : p * lines + i;
+              };
+              // A pruned transform must never read an unlisted point.
+              if (pruned)
+                for (std::size_t p = 0; p < n; ++p)
+                  if (!std::binary_search(live.begin(), live.end(), p))
+                    for (std::size_t i = 0; i < lines; ++i) grid[index(p, i)] = {nan, nan};
+              const std::vector<cfloat> before = buf;
 
-            fft::ColumnGroup g;
-            g.data = grid;
-            g.width = w;
-            g.lanes = cols.size();
-            std::copy(cols.begin(), cols.end(), g.cols);
-            g.live_rows = pruned ? &live_span : nullptr;
-            std::vector<cfloat> scratch(4 * h + off);
-            cols4(g, fft::plan_for(h), inverse, scratch.data() + off);
+              fft::LaneGroup g;
+              g.lanes = sel.size();
+              g.stride = rows ? 1 : lines;
+              for (std::size_t j = 0; j < sel.size(); ++j)
+                g.lane[j] = grid + (rows ? sel[j] * n : sel[j]);
+              g.live = pruned ? &live_span : nullptr;
+              std::vector<float> blocks(fft::kBlock * n + off, nan);
+              fft::gather_lanes(g, plan, blocks.data() + off);
+              lanes8(blocks.data() + off, plan, inverse);
+              fft::scatter_lanes(g, n, blocks.data() + off);
 
-            for (std::size_t c = 0; c < w; ++c) {
-              const bool listed = std::find(cols.begin(), cols.end(), c) != cols.end();
-              if (listed) {
-                const std::vector<cfloat> ref = reference_column(
-                    row_kernel, before.data() + off, h, w, c, pruned ? &live : nullptr, inverse);
-                for (std::size_t r = 0; r < h; ++r)
-                  ASSERT_EQ(0, std::memcmp(&grid[r * w + c], &ref[r], sizeof(cfloat)))
-                      << "column " << c << " row " << r;
-              } else {
-                for (std::size_t r = 0; r < h; ++r)
-                  ASSERT_EQ(0, std::memcmp(&grid[r * w + c], &before[off + r * w + c],
-                                           sizeof(cfloat)))
-                      << "unlisted column " << c << " written at row " << r;
+              for (std::size_t i = 0; i < lines; ++i) {
+                const bool listed = std::find(sel.begin(), sel.end(), i) != sel.end();
+                const std::vector<cfloat> ref =
+                    listed ? reference_line(row_kernel, before.data() + off, n, lines, i, rows,
+                                            pruned ? &live : nullptr, inverse)
+                           : std::vector<cfloat>();
+                for (std::size_t p = 0; p < n; ++p) {
+                  const cfloat& want = listed ? ref[p] : before[off + index(p, i)];
+                  ASSERT_EQ(0, std::memcmp(&grid[index(p, i)], &want, sizeof(cfloat)))
+                      << (listed ? "line " : "unlisted line ") << i << " point " << p;
+                }
               }
             }
           }
@@ -420,10 +492,11 @@ TEST(FftCols4Conformance, EveryLaneIsBitwiseTheRowKernel) {
   }
 }
 
-TEST(FftCols4Conformance, TwoDimensionalPassesAreBitwisePerColumnTransforms) {
-  // col_pass end to end: grouping, tail groups and thread chunking must not
-  // move a bit against one row-kernel transform per row, then per column.
-  const std::size_t dims[][2] = {{2, 8}, {16, 4}, {32, 64}, {256, 32}};
+TEST(FftLanes8Conformance, TwoDimensionalPassesAreBitwisePerLineTransforms) {
+  // The 2-D passes end to end: batching, tail batches and thread chunking
+  // must not move a bit against one row-kernel transform per row, then per
+  // column.
+  const std::size_t dims[][2] = {{2, 8}, {16, 4}, {4, 2}, {32, 64}, {256, 32}};
   for (const SimdLevel lvl : present_arms()) {
     LevelGuard guard;
     set_simd_level(lvl);
@@ -442,15 +515,15 @@ TEST(FftCols4Conformance, TwoDimensionalPassesAreBitwisePerColumnTransforms) {
           const std::vector<cfloat> rows_done = ref;
           for (std::size_t c = 0; c < w; ++c) {
             const std::vector<cfloat> col =
-                reference_column(row_kernel, rows_done.data(), h, w, c, nullptr, inverse);
+                reference_line(row_kernel, rows_done.data(), h, w, c, false, nullptr, inverse);
             for (std::size_t r = 0; r < h; ++r) ref[r * w + c] = col[r];
           }
           fft::fft_2d(got.data(), h, w, inverse);
           EXPECT_EQ(0, std::memcmp(got.data(), ref.data(), npx * sizeof(cfloat)))
               << "fft_2d inverse=" << inverse;
         }
-        // Listed columns leave tail groups of every size.
-        for (const std::size_t ncols : {std::size_t{1}, std::size_t{2}, std::size_t{3}, w - 1}) {
+        // Listed columns leave tail batches of every size.
+        for (const std::size_t ncols : {std::size_t{1}, std::size_t{3}, w - 1}) {
           std::vector<std::size_t> cols;
           for (std::size_t c = 0; c < w && cols.size() < ncols; c += 1 + (c % 2)) cols.push_back(c);
           const std::vector<cfloat> x = random_complex(rng, npx);
@@ -460,7 +533,7 @@ TEST(FftCols4Conformance, TwoDimensionalPassesAreBitwisePerColumnTransforms) {
           fft::fft_2d_cols(got.data(), h, w, cols);
           for (const std::size_t c : cols) {
             const std::vector<cfloat> col =
-                reference_column(row_kernel, rows_done.data(), h, w, c, nullptr, false);
+                reference_line(row_kernel, rows_done.data(), h, w, c, false, nullptr, false);
             for (std::size_t r = 0; r < h; ++r)
               ASSERT_EQ(0, std::memcmp(&got[r * w + c], &col[r], sizeof(cfloat)))
                   << "fft_2d_cols, " << cols.size() << " columns, column " << c;
