@@ -27,25 +27,6 @@ namespace {
 inline FftInplaceFn active_fft() { return fft_inplace_for(simd_level()); }
 inline FftLanes8Fn active_lanes() { return lane_ops().fft; }
 
-/// Add `n` 1-D transforms to the `fft.transforms` work counter: one call per
-/// pass, and nothing at all while metrics are off.
-void count_transforms(std::size_t n) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& transforms = obs::counter("fft.transforms");
-  transforms.inc(n);
-}
-
-/// The calling thread's batch buffer for n-point transforms (kBlock * n
-/// floats), grown on first use and kept: warm passes allocate nothing.
-float* lane_scratch(std::size_t n) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < kBlock * n) buf.resize(kBlock * n);
-  return buf.data();
-}
-
-/// Groups of kLanes transforms covering `count`.
-constexpr std::size_t lane_groups(std::size_t count) { return (count + kLanes - 1) / kLanes; }
-
 /// Lanes of group g of a `count`-transform pass.
 constexpr std::size_t lanes_in(std::size_t g, std::size_t count) {
   return std::min(kLanes, count - kLanes * g);
@@ -72,64 +53,39 @@ void untangle_packed_rows(const float* blocks, std::size_t j, std::size_t n, cfl
   }
 }
 
-/// Index map of a full pass: transform i is row/column i.
-constexpr auto all_indices = [](std::size_t i) { return i; };
-
-/// Index map of a pruned pass over an ascending index list.
-auto listed(std::span<const std::size_t> list) {
-  return [list](std::size_t i) { return list[i]; };
-}
-
-/// Check that `list` is strictly ascending and inside [0, n).
-void check_index_list(std::span<const std::size_t> list, std::size_t n, const char* what) {
-  for (std::size_t i = 0; i < list.size(); ++i)
-    GANOPC_CHECK_MSG(list[i] < n && (i == 0 || list[i - 1] < list[i]),
-                     what << " must be strictly ascending and below " << n);
-}
-
-/// In-place 1-D transforms of `count` lines of a row-major grid, kLanes per
-/// fft_lanes8 batch; a tail batch leaves its unused lanes out. Line i starts at
-/// data + index(i) * line_step and runs `n` points `stride` elements apart:
-/// rows are (line_step = width, stride 1), columns (1, width). With `live`,
-/// only those points are read: every other point enters the transform as an
-/// exact zero, whatever it holds. All points of a transformed line are written.
-template <typename Index>
+/// In-place 1-D transforms of the first `count` lines of a row-major grid,
+/// kLanes per fft_lanes8 batch; a tail batch leaves its unused lanes out.
+/// Line i starts at data + i * line_step and runs `n` points `stride` elements
+/// apart: rows are (line_step = width, stride 1), columns (1, width).
 void lane_pass(cfloat* data, std::size_t n, std::size_t line_step, std::size_t stride,
-               std::size_t count, Index index, bool inverse,
-               const std::span<const std::size_t>* live = nullptr) {
+               std::size_t count, bool inverse) {
   const FftPlan& plan = plan_for(n);
   const FftLanes8Fn kernel = active_lanes();
   count_transforms(count);
   // Batches are coarse, so parallel_for splits them evenly over the pool;
   // parallel_for_chunks' 16-item quantum would leave most workers idle.
   parallel_for(0, lane_groups(count), [&](std::size_t g) {
-    float* blocks = lane_scratch(n);
+    float* blocks = lane_scratch(kBlock * n);
     LaneGroup group;
     group.stride = stride;
-    group.live = live;
     group.lanes = lanes_in(g, count);
     for (std::size_t j = 0; j < group.lanes; ++j)
-      group.lane[j] = data + index(kLanes * g + j) * line_step;
+      group.lane[j] = data + (kLanes * g + j) * line_step;
     gather_lanes(group, plan, blocks);
     kernel(blocks, plan, inverse);
     scatter_lanes(group, n, blocks);
   }, /*serial_threshold=*/2);
 }
 
-/// In-place 1-D transforms of rows index(0..count-1).
-template <typename Index>
-void row_pass(cfloat* data, std::size_t width, std::size_t count, Index index,
-              bool inverse) {
-  lane_pass(data, width, width, 1, count, index, inverse);
+/// In-place 1-D transforms of rows [0, count).
+void row_pass(cfloat* data, std::size_t width, std::size_t count, bool inverse) {
+  lane_pass(data, width, width, 1, count, inverse);
 }
 
-/// In-place 1-D transforms of columns index(0..count-1), reading only
-/// `live_rows` when given.
-template <typename Index>
+/// In-place 1-D transforms of columns [0, count).
 void col_pass(cfloat* data, std::size_t height, std::size_t width, std::size_t count,
-              Index index, bool inverse,
-              const std::span<const std::size_t>* live_rows = nullptr) {
-  lane_pass(data, height, 1, width, count, index, inverse, live_rows);
+              bool inverse) {
+  lane_pass(data, height, 1, width, count, inverse);
 }
 
 /// irfft_2d whose column pass covers only columns [0, cols): the columns in
@@ -148,7 +104,7 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
   // spectrum the upper columns carry no independent information and the row
   // pass below never reads them.
   const std::size_t half_w = width / 2;
-  col_pass(spec, height, width, std::min(cols, half_w + 1), all_indices, true);
+  col_pass(spec, height, width, std::min(cols, half_w + 1), true);
 
   // Row pass at half cost: each row spectrum is Hermitian (its signal is
   // real), so two rows r, r+1 pack into one inverse transform whose real and
@@ -159,7 +115,7 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
   const FftLanes8Fn kernel = active_lanes();
   count_transforms(pairs);
   parallel_for(0, lane_groups(pairs), [&](std::size_t g) {
-    float* blocks = lane_scratch(width);
+    float* blocks = lane_scratch(kBlock * width);
     const std::size_t lanes = lanes_in(g, pairs);
     if (lanes < kLanes) std::fill(blocks, blocks + kBlock * width, 0.0f);
     for (std::size_t j = 0; j < lanes; ++j) {
@@ -193,6 +149,19 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
 
 }  // namespace
 
+float* lane_scratch(std::size_t floats, std::size_t slot) {
+  thread_local std::vector<float> bufs[kScratchSlots];
+  std::vector<float>& buf = bufs[slot];
+  if (buf.size() < floats) buf.resize(floats);
+  return buf.data();
+}
+
+void count_transforms(std::size_t n) {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter& transforms = obs::counter("fft.transforms");
+  transforms.inc(n);
+}
+
 void fft_1d(std::vector<cfloat>& data, bool inverse) {
   GANOPC_CHECK_MSG(is_pow2(data.size()), "FFT size must be a power of two");
   count_transforms(1);
@@ -204,8 +173,8 @@ void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse) {
   // Rows: note we do NOT apply 1/N scaling per axis separately; the butterfly
   // kernel scales by 1/len for inverse, so a row pass scales 1/W and a column
   // pass 1/H, composing to the desired 1/(W*H).
-  row_pass(data, width, height, all_indices, inverse);
-  col_pass(data, height, width, width, all_indices, inverse);
+  row_pass(data, width, height, inverse);
+  col_pass(data, height, width, width, inverse);
 }
 
 void fft_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width, bool inverse) {
@@ -230,7 +199,7 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
   const FftLanes8Fn lanes_kernel = active_lanes();
   count_transforms(pairs);
   parallel_for(0, lane_groups(pairs), [&](std::size_t g) {
-    float* blocks = lane_scratch(width);
+    float* blocks = lane_scratch(kBlock * width);
     const std::size_t lanes = lanes_in(g, pairs);
     if (lanes < kLanes) std::fill(blocks, blocks + kBlock * width, 0.0f);
     for (std::size_t j = 0; j < lanes; ++j) {
@@ -252,7 +221,7 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
   // Column pass only up to the Nyquist column; the remaining columns follow
   // from F[r][c] = conj(F[(H-r)%H][(W-c)%W]) for real input.
   const std::size_t half_w = width / 2;
-  col_pass(out, height, width, half_w + 1, all_indices, false);
+  col_pass(out, height, width, half_w + 1, false);
   parallel_for_chunks(0, height, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const std::size_t rm = (height - r) & (height - 1);
@@ -264,23 +233,6 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
 
 void irfft_2d(cfloat* spec, float* out, std::size_t height, std::size_t width) {
   irfft_2d_band(spec, out, height, width, width / 2 + 1);
-}
-
-void ifft_2d_rows(cfloat* data, std::size_t height, std::size_t width,
-                  std::span<const std::size_t> rows) {
-  GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
-  check_index_list(rows, height, "row list");
-  // A zero row transforms to zeros, so skipping it changes no nonzero value.
-  row_pass(data, width, rows.size(), listed(rows), true);
-  col_pass(data, height, width, width, all_indices, true, &rows);
-}
-
-void fft_2d_cols(cfloat* data, std::size_t height, std::size_t width,
-                 std::span<const std::size_t> cols) {
-  GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
-  check_index_list(cols, width, "column list");
-  row_pass(data, width, height, all_indices, false);
-  col_pass(data, height, width, cols.size(), listed(cols), false);
 }
 
 void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width) {

@@ -33,19 +33,14 @@ void fft_inplace_scalar(cfloat* a, const FftPlan& plan, bool inverse) {
 }
 
 void gather_lanes(const LaneGroup& g, const FftPlan& plan, float* blocks) {
-  const std::size_t n = plan.n;
-  const auto load = [&](std::size_t point, float* blk) {
+  if (g.lanes < kLanes) std::fill(blocks, blocks + kBlock * plan.n, 0.0f);
+  for (std::size_t p = 0; p < plan.n; ++p) {
+    float* blk = blocks + kBlock * p;
     for (std::size_t j = 0; j < g.lanes; ++j) {
-      const cfloat v = g.lane[j][point * g.stride];
+      const cfloat v = g.lane[j][plan.bitrev[p] * g.stride];
       blk[j] = v.real();
       blk[kLanes + j] = v.imag();
     }
-  };
-  if (g.live != nullptr || g.lanes < kLanes) std::fill(blocks, blocks + kBlock * n, 0.0f);
-  if (g.live != nullptr) {
-    for (const std::size_t r : *g.live) load(r, blocks + kBlock * plan.bitrev[r]);
-  } else {
-    for (std::size_t p = 0; p < n; ++p) load(plan.bitrev[p], blocks + kBlock * p);
   }
 }
 
@@ -54,6 +49,76 @@ void scatter_lanes(const LaneGroup& g, std::size_t n, const float* blocks) {
     const float* blk = blocks + kBlock * p;
     for (std::size_t j = 0; j < g.lanes; ++j)
       g.lane[j][p * g.stride] = cfloat(blk[j], blk[kLanes + j]);
+  }
+}
+
+void spread_blocks(const float* src, std::size_t step, std::span<const std::size_t> points,
+                   const FftPlan& plan, float* blocks) {
+  std::fill(blocks, blocks + kBlock * plan.n, 0.0f);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    std::copy_n(src + i * step, kBlock, blocks + kBlock * plan.bitrev[points[i]]);
+}
+
+void load_rows(const SplitGrid& grid, std::span<const std::size_t> rows, std::size_t count,
+               float* out) {
+  if (rows.size() < kLanes) std::fill(out, out + kBlock * count, 0.0f);
+  for (std::size_t c = 0; c < count; ++c) {
+    float* blk = out + kBlock * c;
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      const float* src = grid.block(rows[j], c / kLanes) + c % kLanes;
+      blk[j] = src[0];
+      blk[kLanes + j] = src[kLanes];
+    }
+  }
+}
+
+void load_rows(const cfloat* grid, std::size_t width, std::span<const std::size_t> rows,
+               std::span<const std::size_t> cols, float* out) {
+  if (rows.size() < kLanes) std::fill(out, out + kBlock * cols.size(), 0.0f);
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    float* blk = out + kBlock * c;
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      const cfloat v = grid[rows[j] * width + cols[c]];
+      blk[j] = v.real();
+      blk[kLanes + j] = v.imag();
+    }
+  }
+}
+
+void load_row_tile(const float* tile, std::size_t lanes, std::size_t g, const FftPlan& plan,
+                   float* blocks) {
+  const std::size_t cols = std::min(kLanes, plan.n - kLanes * g);
+  for (std::size_t i = 0; i < cols; ++i) {
+    float* dst = blocks + kBlock * plan.bitrev[kLanes * g + i];
+    for (std::size_t j = 0; j < lanes; ++j) {
+      dst[j] = tile[kBlock * j + i];
+      dst[kLanes + j] = tile[kBlock * j + kLanes + i];
+    }
+  }
+}
+
+void store_rows(const float* blocks, std::size_t n, std::size_t lanes, const SplitGrid& grid,
+                std::size_t first_row) {
+  for (std::size_t j = 0; j < lanes; ++j) {
+    if (n < kLanes) std::fill_n(grid.block(first_row + j, 0), kBlock, 0.0f);
+    for (std::size_t c = 0; c < n; ++c) {
+      float* dst = grid.block(first_row + j, c / kLanes) + c % kLanes;
+      dst[0] = blocks[kBlock * c + j];
+      dst[kLanes] = blocks[kBlock * c + kLanes + j];
+    }
+  }
+}
+
+void store_columns(const float* blocks, std::span<const std::size_t> points, std::size_t lanes,
+                   std::size_t first, const FftPlan& plan, float* batches) {
+  for (std::size_t c = 0; c < points.size(); ++c) {
+    const float* src = blocks + kBlock * points[c];
+    float* dst = batches + (c / kLanes) * plan.n * kBlock + c % kLanes;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      float* slot = dst + kBlock * plan.bitrev[first + j];
+      slot[0] = src[j];
+      slot[kLanes] = src[kLanes + j];
+    }
   }
 }
 

@@ -61,23 +61,87 @@ using FftLanes8Fn = void (*)(float* blocks, const FftPlan& plan, bool inverse);
 void fft_lanes8_scalar(float* blocks, const FftPlan& plan, bool inverse);
 void fft_lanes8_avx2(float* blocks, const FftPlan& plan, bool inverse);
 
-/// Up to kLanes strided complex signals of one grid, batched for fft_lanes8:
-/// columns (stride = row width) or rows (stride 1).
+/// Batches of kLanes covering `count` transforms; equally, the kLanes-column
+/// groups of a `count`-column grid.
+constexpr std::size_t lane_groups(std::size_t count) { return (count + kLanes - 1) / kLanes; }
+
+/// The calling thread's scratch buffer `slot` (0 .. kScratchSlots-1), at
+/// least `floats` long: grown on first use and kept, so warm passes allocate
+/// nothing. A pass holds its slots only until it returns.
+inline constexpr std::size_t kScratchSlots = 4;
+float* lane_scratch(std::size_t floats, std::size_t slot = 0);
+
+/// Add `n` 1-D transforms to the `fft.transforms` work counter: one call per
+/// pass, and nothing at all while metrics are off.
+void count_transforms(std::size_t n);
+
+/// Up to kLanes strided complex signals of one interleaved grid, batched for
+/// fft_lanes8: columns (stride = row width) or rows (stride 1).
 struct LaneGroup {
   cfloat* lane[kLanes] = {};    ///< point 0 of each used lane
   std::size_t lanes = kLanes;   ///< lanes in use, 1..kLanes; the rest hold zeros
   std::size_t stride = 1;       ///< elements between consecutive points of a lane
-  /// Points read (ascending); every other point enters the transform as an
-  /// exact zero, whatever it holds. nullptr reads every point.
-  const std::span<const std::size_t>* live = nullptr;
 };
 
-/// Load `g` into plan.n blocks in the bit-reversed order fft_lanes8 takes
-/// (zeros in unused lanes and unread points), and store natural-order blocks
+/// Load every point of `g` into plan.n blocks in the bit-reversed order
+/// fft_lanes8 takes (zeros in unused lanes), and store natural-order blocks
 /// back to every point of each used lane. Pure data movement, shared by both
-/// arms.
+/// arms, like every gather and scatter below.
 void gather_lanes(const LaneGroup& g, const FftPlan& plan, float* blocks);
 void scatter_lanes(const LaneGroup& g, std::size_t n, const float* blocks);
+
+/// A complex grid held split-complex in kLanes-column groups, the layout of
+/// the SOCS passes' fields and band-limited rows (src/litho): the block of
+/// row r and group g — the reals of columns kLanes*g .. kLanes*g + kLanes-1,
+/// then their imaginaries — starts at base + r * row_step + g * group_step.
+/// Blocks stored row by row have (row_step, group_step) = (groups * kBlock,
+/// kBlock); group by group, (kBlock, rows * kBlock).
+struct SplitGrid {
+  float* base = nullptr;
+  std::size_t row_step = 0;
+  std::size_t group_step = 0;
+
+  float* block(std::size_t r, std::size_t g) const { return base + r * row_step + g * group_step; }
+};
+
+/// Blocks src, src + step, src + 2*step, ... as points points[0], points[1],
+/// ... of plan.n-point signals, in the bit-reversed order fft_lanes8 takes;
+/// every other point is zero. Copies whole blocks, so lanes stay lanes: a
+/// column group of a SplitGrid (step = row_step) or a product of
+/// load_rows (step = kBlock).
+void spread_blocks(const float* src, std::size_t step, std::span<const std::size_t> points,
+                   const FftPlan& plan, float* blocks);
+
+/// Rows become lanes, in list order and not bit-reversed — the operands of
+/// a LaneOps product at a few listed points. With a SplitGrid: row rows[j],
+/// columns [0, count), into lane j of blocks out[0 .. count). With an
+/// interleaved row-major grid of row length `width`: row rows[j] at columns
+/// cols[c] into lane j of block c. Lanes past rows.size() are zero.
+void load_rows(const SplitGrid& grid, std::span<const std::size_t> rows, std::size_t count,
+               float* out);
+void load_rows(const cfloat* grid, std::size_t width, std::span<const std::size_t> rows,
+               std::span<const std::size_t> cols, float* out);
+
+/// Rows become lanes, bit-reversed: a kLanes x kLanes tile (block j holding
+/// row j of column group g) into lanes 0..lanes-1 of plan.n-point signals,
+/// column kLanes*g + i landing at its bit-reversed slot. Lanes past `lanes`
+/// and columns past plan.n are not touched.
+void load_row_tile(const float* tile, std::size_t lanes, std::size_t g, const FftPlan& plan,
+                   float* blocks);
+
+/// Lanes become rows: lane j of natural-order blocks[0 .. n) into row
+/// first_row + j, columns [0, n), of `grid`, for j < lanes. Below n = kLanes
+/// the group's unused columns are written as zeros.
+void store_rows(const float* blocks, std::size_t n, std::size_t lanes, const SplitGrid& grid,
+                std::size_t first_row);
+
+/// Lanes become columns, bit-reversed: point points[c] of lane j of
+/// natural-order blocks into column batch c / kLanes, lane c % kLanes, at the
+/// bit-reversed slot of point first + j. Batch b is the plan.n blocks at
+/// batches + b * plan.n * kBlock, ready for an in-place fft_lanes8 transform
+/// once every point has been stored.
+void store_columns(const float* blocks, std::span<const std::size_t> points, std::size_t lanes,
+                   std::size_t first, const FftPlan& plan, float* batches);
 
 /// Element-wise kernels on split-complex blocks for the SOCS passes
 /// (src/litho). Each lane gets exactly the arithmetic of the interleaved

@@ -46,101 +46,72 @@ void reshape_like(geom::Grid& g, std::int32_t n, std::int32_t pixel_nm,
 // which can change no nonzero value and never reach the accumulators as a
 // sign.
 
-/// Number of 8-column groups (and 8-row groups) of an n-point axis.
-std::size_t lane_groups(std::size_t n) { return (n + fft::kLanes - 1) / fft::kLanes; }
+using fft::kBlock;
+using fft::kLanes;
+using fft::lane_groups;
+using fft::lane_scratch;
+using fft::SplitGrid;
 
-/// Per-thread batch buffers, grown on first use and kept warm.
-struct LaneScratch {
-  std::vector<float> blocks;   ///< one batch: n split-complex blocks
-  std::vector<float> a, b;     ///< product operands at the support columns
-  std::vector<float> support;  ///< adjoint row-pass output at the support columns
-  std::vector<float> tile;     ///< 8 blocks of row products before transposing
-
-  static LaneScratch& get(std::size_t n, std::size_t cols) {
-    thread_local LaneScratch s;
-    const auto grow = [](std::vector<float>& v, std::size_t len) {
-      if (v.size() < len) v.resize(len);
-    };
-    grow(s.blocks, fft::kBlock * n);
-    grow(s.a, fft::kBlock * cols);
-    grow(s.b, fft::kBlock * cols);
-    grow(s.support, fft::kBlock * n * lane_groups(cols));
-    grow(s.tile, fft::kBlock * fft::kLanes);
-    return s;
-  }
-};
-
-void count_transforms(std::size_t n) {
-  if (obs::metrics_enabled()) obs::counter("fft.transforms").inc(n);
-}
+// Per-thread batch buffers (fft::lane_scratch slots).
+constexpr std::size_t kBatchSlot = 0;    ///< one batch: n split-complex blocks
+constexpr std::size_t kOperandA = 1;     ///< product operands at the support columns
+constexpr std::size_t kOperandB = 2;
+constexpr std::size_t kSupportSlot = 3;  ///< adjoint row-pass output at the support columns
 
 /// Inverse row transforms of the band-limited products a .* H over rows
 /// `rows` and columns `cols` of an n x n spectrum, 8 rows per batch; every
-/// other bin enters as an exact zero. `fetch_a(i, c)` is operand a at row
-/// rows[i], column cols[c]; `hat` is the full interleaved kernel spectrum.
-/// Row i lands in `out` + i * groups * kBlock as 8-column blocks. `s` must
-/// have been sized for n points and cols.size() columns.
-template <typename FetchA>
+/// other bin enters as an exact zero. `load_a(batch, a)` writes operand a of
+/// the rows `batch` (up to 8 of `rows`) at the listed columns as blocks;
+/// `hat` is the full interleaved kernel spectrum. Row i lands in row i of
+/// `out`.
+template <typename LoadA>
 void support_rows_inverse(std::span<const std::size_t> rows, std::span<const std::size_t> cols,
-                          const cfloat* hat, FetchA fetch_a, const fft::FftPlan& plan,
-                          const fft::LaneOps& ops, LaneScratch& s, float* out) {
-  constexpr std::size_t L = fft::kLanes, B = fft::kBlock;
-  const std::size_t n = plan.n, groups = lane_groups(n), nc = cols.size();
-  float* blocks = s.blocks.data();
-  for (std::size_t i0 = 0; i0 < rows.size(); i0 += L) {
-    const std::size_t lanes = std::min(L, rows.size() - i0);
-    if (lanes < L) {
-      std::fill(s.a.begin(), s.a.begin() + B * nc, 0.0f);
-      std::fill(s.b.begin(), s.b.begin() + B * nc, 0.0f);
-    }
-    for (std::size_t c = 0; c < nc; ++c)
-      for (std::size_t j = 0; j < lanes; ++j) {
-        const cfloat va = fetch_a(i0 + j, c);
-        const cfloat vb = hat[rows[i0 + j] * n + cols[c]];
-        s.a[B * c + j] = va.real();
-        s.a[B * c + L + j] = va.imag();
-        s.b[B * c + j] = vb.real();
-        s.b[B * c + L + j] = vb.imag();
-      }
-    ops.cmul(s.a.data(), s.b.data(), s.a.data(), nc);
-    std::fill(blocks, blocks + B * n, 0.0f);
-    for (std::size_t c = 0; c < nc; ++c)
-      std::copy_n(s.a.data() + B * c, B, blocks + B * plan.bitrev[cols[c]]);
+                          const cfloat* hat, LoadA load_a, const fft::FftPlan& plan,
+                          const fft::LaneOps& ops, const SplitGrid& out) {
+  const std::size_t n = plan.n, nc = cols.size();
+  float* blocks = lane_scratch(kBlock * n, kBatchSlot);
+  float* a = lane_scratch(kBlock * nc, kOperandA);
+  float* b = lane_scratch(kBlock * nc, kOperandB);
+  for (std::size_t i0 = 0; i0 < rows.size(); i0 += kLanes) {
+    const std::size_t lanes = std::min(kLanes, rows.size() - i0);
+    const auto batch = rows.subspan(i0, lanes);
+    load_a(batch, a);
+    fft::load_rows(hat, n, batch, cols, b);
+    ops.cmul(a, b, a, nc);
+    fft::spread_blocks(a, kBlock, cols, plan, blocks);
     ops.fft(blocks, plan, /*inverse=*/true);
-    for (std::size_t j = 0; j < lanes; ++j) {
-      float* row = out + (i0 + j) * groups * B;
-      if (n < L) std::fill(row, row + B, 0.0f);
-      for (std::size_t c = 0; c < n; ++c) {
-        float* dst = row + (c / L) * B + c % L;
-        dst[0] = blocks[B * c + j];
-        dst[L] = blocks[B * c + L + j];
-      }
-    }
+    fft::store_rows(blocks, n, lanes, out, i0);
   }
 }
 
-/// Kernel k's compact rows in the workspace.
-float* compact_rows(LithoWorkspace& ws, int k) {
-  return ws.compact.data() + ws.compact_offset[static_cast<std::size_t>(k)];
+/// Kernel k's compact rows in the workspace: its band-limited rows, stored
+/// row by row as 8-column groups.
+SplitGrid compact_rows(LithoWorkspace& ws, int k, std::size_t n) {
+  const std::size_t groups = lane_groups(n);
+  return {ws.compact.data() + ws.compact_offset[static_cast<std::size_t>(k)], groups * kBlock,
+          kBlock};
 }
 
-/// Column pass of one 8-column group for kernel k: the compact rows `rows`
-/// (R of them) scattered to their bit-reversed slots of `blocks`, every other
-/// row zero, then inverse-transformed in place.
-void column_inverse(const float* compact, std::span<const std::size_t> rows, std::size_t g,
+/// Kernel k's stored field A_k: group by group, n rows of 8-column blocks.
+SplitGrid field_grid(LithoWorkspace& ws, int k, std::size_t n) {
+  const std::size_t group_floats = n * kBlock;
+  return {ws.fields.data() + static_cast<std::size_t>(k) * lane_groups(n) * group_floats, kBlock,
+          group_floats};
+}
+
+/// Column pass of one 8-column group for kernel k: its compact rows
+/// (support rows `rows`) at their points, every other row zero, then
+/// inverse-transformed in place.
+void column_inverse(const SplitGrid& compact, std::span<const std::size_t> rows, std::size_t g,
                     const fft::FftPlan& plan, const fft::LaneOps& ops, float* blocks) {
-  constexpr std::size_t B = fft::kBlock;
-  const std::size_t n = plan.n, groups = lane_groups(n);
-  std::fill(blocks, blocks + B * n, 0.0f);
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    std::copy_n(compact + (i * groups + g) * B, B, blocks + B * plan.bitrev[rows[i]]);
+  fft::spread_blocks(compact.block(0, g), compact.row_step, rows, plan, blocks);
   ops.fft(blocks, plan, /*inverse=*/true);
 }
 
 /// Row-major pixel (r, c) of 8-column group g = c / 8 in the block-ordered
 /// accumulator layout: group g holds n rows of 8 pixels.
 std::size_t block_index(std::size_t n, std::size_t r, std::size_t c) {
-  return (c / fft::kLanes * n + r) * fft::kLanes + c % fft::kLanes;
+  return (c / kLanes * n + r) * kLanes + c % kLanes;
 }
 
 // The one SOCS forward implementation (Eq. 2): mask FFT, per-kernel coherent
@@ -152,7 +123,6 @@ std::size_t block_index(std::size_t n, std::size_t r, std::size_t c) {
 // implementation.
 void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
                   geom::Grid& aerial_image, LithoWorkspace& ws, bool store_fields) {
-  constexpr std::size_t L = fft::kLanes, B = fft::kBlock;
   const std::int32_t n = kernels.grid_size();
   const auto un = static_cast<std::size_t>(n);
   const std::size_t npx = un * un, groups = lane_groups(un);
@@ -161,12 +131,12 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
   // Kernel k's compact rows serve its forward and its adjoint support rows.
   const auto compact_len = [&](int k) {
     return std::max(kernels.support(k).rows.size(), kernels.support_flipped(k).rows.size()) *
-           groups * B;
+           groups * kBlock;
   };
   std::size_t compact_floats = 0;
   for (int k = 0; k < num_k; ++k) compact_floats += compact_len(k);
-  if (ws.ensure_forward(num_k, npx, compact_floats, groups * un * L,
-                        store_fields ? nk * groups * un * B : 0) &&
+  if (ws.ensure_forward(num_k, npx, compact_floats, groups * un * kLanes,
+                        store_fields ? nk * groups * un * kBlock : 0) &&
       obs::metrics_enabled())
     obs::counter("litho.workspace.grows").inc();
   for (int k = 0, off = 0; k < num_k; off += static_cast<int>(compact_len(k)), ++k) {
@@ -183,7 +153,7 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
   // Rows: per kernel, the support rows of H_k_hat .* mask_hat.
   std::size_t row_transforms = 0;
   for (int k = 0; k < num_k; ++k) row_transforms += kernels.support(k).rows.size();
-  count_transforms(row_transforms + nk * un);
+  fft::count_transforms(row_transforms + nk * un);
   // Kernels and column groups are coarse items: parallel_for splits them
   // evenly over the pool (parallel_for_chunks' 16-item quantum would not).
   parallel_for(0, nk, [&](std::size_t k) {
@@ -191,28 +161,28 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
     const cfloat* mask_hat = ws.mask_hat.data();
     support_rows_inverse(
         sup.rows, sup.cols, kernels.freq_kernel(static_cast<int>(k)).data(),
-        [&](std::size_t i, std::size_t c) { return mask_hat[sup.rows[i] * un + sup.cols[c]]; },
-        plan, ops, LaneScratch::get(un, sup.cols.size()), compact_rows(ws, static_cast<int>(k)));
+        [&](std::span<const std::size_t> batch, float* a) {
+          fft::load_rows(mask_hat, un, batch, sup.cols, a);
+        },
+        plan, ops, compact_rows(ws, static_cast<int>(k), un));
   }, /*serial_threshold=*/2);
 
   // Columns: each thread owns a slab of 8-column groups.
   reshape_like(aerial_image, n, kernels.pixel_nm(), mask);
   parallel_for(0, groups, [&](std::size_t g) {
-    float* scratch = LaneScratch::get(un, 0).blocks.data();
-    double* acc = ws.acc.data() + g * un * L;
-    std::fill(acc, acc + un * L, 0.0);
+    float* scratch = lane_scratch(kBlock * un, kBatchSlot);
+    double* acc = ws.acc.data() + g * un * kLanes;
+    std::fill(acc, acc + un * kLanes, 0.0);
     for (int k = 0; k < num_k; ++k) {
-      float* blocks = store_fields
-                          ? ws.fields.data() + (static_cast<std::size_t>(k) * groups + g) * un * B
-                          : scratch;
-      column_inverse(compact_rows(ws, k), kernels.support(k).rows, g, plan, ops, blocks);
+      float* blocks = store_fields ? field_grid(ws, k, un).block(0, g) : scratch;
+      column_inverse(compact_rows(ws, k, un), kernels.support(k).rows, g, plan, ops, blocks);
       ops.norm_weighted_accum(blocks, ws.weights[static_cast<std::size_t>(k)], acc, un);
     }
     float* out = aerial_image.data.data();
-    const std::size_t lanes = std::min(L, un - g * L);
+    const std::size_t lanes = std::min(kLanes, un - g * kLanes);
     for (std::size_t r = 0; r < un; ++r)
       for (std::size_t j = 0; j < lanes; ++j)
-        out[r * un + g * L + j] = static_cast<float>(acc[r * L + j]);
+        out[r * un + g * kLanes + j] = static_cast<float>(acc[r * kLanes + j]);
   }, /*serial_threshold=*/2);
 }
 
@@ -359,12 +329,11 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
   if (ws.ensure_adjoint(ws.acc.size()) && obs::metrics_enabled())
     obs::counter("litho.workspace.grows").inc();
 
-  constexpr std::size_t L = fft::kLanes, B = fft::kBlock;
   const std::size_t groups = lane_groups(un);
   const fft::FftPlan& plan = fft::plan_for(un);
   const fft::LaneOps& ops = fft::lane_ops();
   double* acc = ws.acc.data();
-  std::fill(acc, acc + groups * un * L, 0.0);
+  std::fill(acc, acc + groups * un * kLanes, 0.0);
   std::size_t transforms_per_dose = 0;
   for (int k = 0; k < num_k; ++k) {
     const auto& sup = kernels_.support_flipped(k);
@@ -395,71 +364,53 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
     // flipped kernel's support survives the product, so the forward row
     // transforms keep just its C columns, the column transforms run on those
     // columns only, and the inverse needs just its R rows.
-    count_transforms(transforms_per_dose);
+    fft::count_transforms(transforms_per_dose);
     parallel_for(0, static_cast<std::size_t>(num_k), [&](std::size_t k) {
       const auto& sup = kernels_.support_flipped(static_cast<int>(k));
-      const std::size_t nc = sup.cols.size();
-      LaneScratch& s = LaneScratch::get(un, nc);
-      float* blocks = s.blocks.data();
-      float* support = s.support.data();
-      const float* field = ws.fields.data() + k * groups * un * B;
-      // Unused lanes of the last support-column batch transform zeros.
-      if (nc % L != 0)
-        for (std::size_t p = 0; p < un; ++p)
-          std::fill_n(support + ((nc / L) * un + p) * B, B, 0.0f);
+      const std::size_t nc = sup.cols.size(), batches = lane_groups(nc);
+      float* blocks = lane_scratch(kBlock * un, kBatchSlot);
+      // The support columns as column batches; unused lanes of the last
+      // batch transform zeros.
+      float* support = lane_scratch(kBlock * un * batches, kSupportSlot);
+      if (nc % kLanes != 0)
+        std::fill_n(support + (batches - 1) * un * kBlock, un * kBlock, 0.0f);
+      const SplitGrid field = field_grid(ws, static_cast<int>(k), un);
       // Forward row transforms of X .* conj(A_k), 8 rows per batch: the
       // products come straight from the field blocks, one 8x8 tile per
-      // column group, transposed into the rows' lanes.
-      for (std::size_t r0 = 0; r0 < un; r0 += L) {
-        const std::size_t lanes = std::min(L, un - r0);
-        if (lanes < L) std::fill(blocks, blocks + B * un, 0.0f);
+      // column group, loaded with the rows as lanes.
+      alignas(32) float tile[kBlock * kLanes] = {};
+      for (std::size_t r0 = 0; r0 < un; r0 += kLanes) {
+        const std::size_t lanes = std::min(kLanes, un - r0);
+        if (lanes < kLanes) std::fill(blocks, blocks + kBlock * un, 0.0f);
         for (std::size_t g = 0; g < groups; ++g) {
-          float* tile = s.tile.data();
-          ops.cmul_conj_real(ws.x.data() + (g * un + r0) * L,
-                             field + (g * un + r0) * B, tile, lanes);
-          const std::size_t cols = std::min(L, un - g * L);
-          for (std::size_t i = 0; i < cols; ++i) {
-            float* dst = blocks + B * plan.bitrev[g * L + i];
-            for (std::size_t j = 0; j < lanes; ++j) {
-              dst[j] = tile[B * j + i];
-              dst[L + j] = tile[B * j + L + i];
-            }
-          }
+          ops.cmul_conj_real(ws.x.data() + (g * un + r0) * kLanes, field.block(r0, g), tile,
+                             lanes);
+          fft::load_row_tile(tile, lanes, g, plan, blocks);
         }
         ops.fft(blocks, plan, /*inverse=*/false);
-        // Keep the support columns, as column batches in the
-        // bit-reversed row order the column transform reads.
-        for (std::size_t c = 0; c < nc; ++c) {
-          const float* src = blocks + B * sup.cols[c];
-          float* dst = support + (c / L) * un * B + c % L;
-          for (std::size_t j = 0; j < lanes; ++j) {
-            float* slot = dst + B * plan.bitrev[r0 + j];
-            slot[0] = src[j];
-            slot[L] = src[L + j];
-          }
-        }
+        fft::store_columns(blocks, sup.cols, lanes, r0, plan, support);
       }
       // Forward column transforms of the support columns, in place.
-      for (std::size_t cg = 0; cg < lane_groups(nc); ++cg)
-        ops.fft(support + cg * un * B, plan, /*inverse=*/false);
+      for (std::size_t cb = 0; cb < batches; ++cb)
+        ops.fft(support + cb * un * kBlock, plan, /*inverse=*/false);
       // Product with H_k_hat(-f) on the support rows, inverse rows.
+      const SplitGrid columns{support, kBlock, un * kBlock};
       support_rows_inverse(
           sup.rows, sup.cols, kernels_.freq_kernel_flipped(static_cast<int>(k)).data(),
-          [&](std::size_t i, std::size_t c) {
-            const float* slot = support + ((c / L) * un + sup.rows[i]) * B + c % L;
-            return cfloat(slot[0], slot[L]);
+          [&](std::span<const std::size_t> batch, float* a) {
+            fft::load_rows(columns, batch, nc, a);
           },
-          plan, ops, s, compact_rows(ws, static_cast<int>(k)));
+          plan, ops, compact_rows(ws, static_cast<int>(k), un));
     }, /*serial_threshold=*/2);
 
     // Inverse column transforms per slab, each folded into 2 w_k Re(.).
     parallel_for(0, groups, [&](std::size_t g) {
-      float* blocks = LaneScratch::get(un, 0).blocks.data();
+      float* blocks = lane_scratch(kBlock * un, kBatchSlot);
       for (int k = 0; k < num_k; ++k) {
         const double w2 = 2.0 * ws.weights[static_cast<std::size_t>(k)];
-        column_inverse(compact_rows(ws, k), kernels_.support_flipped(k).rows, g, plan, ops,
+        column_inverse(compact_rows(ws, k, un), kernels_.support_flipped(k).rows, g, plan, ops,
                        blocks);
-        ops.real_weighted_accum(blocks, w2, acc + g * un * L, un);
+        ops.real_weighted_accum(blocks, w2, acc + g * un * kLanes, un);
       }
     }, /*serial_threshold=*/2);
   }

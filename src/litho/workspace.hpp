@@ -13,7 +13,7 @@
 // N_h fields (12.6 MB) plus compact support rows (~1.5 MB) and one n^2
 // accumulator; the per-kernel n^2 adjoint buffers of the earlier layout
 // (another 12.6 MB) are gone. An aerial-only call holds no fields at all.
-// The transforms' own batch buffers are per thread (lithosim.cpp).
+// The transforms' own batch buffers are per thread (fft::lane_scratch).
 //
 // A workspace is NOT thread-safe: it belongs to one simulation call at a
 // time. Each thread owns one (`thread_workspace`): the convenience wrappers

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/cpu.hpp"
@@ -392,17 +393,12 @@ std::vector<SimdLevel> present_arms() {
 }
 
 /// Line `i` of a grid (row i when `rows`, else column i) run through
-/// `row_kernel`, reading the points outside `live` (when given) as zero.
+/// `row_kernel`.
 std::vector<cfloat> reference_line(fft::FftInplaceFn row_kernel, const cfloat* grid,
                                    std::size_t n, std::size_t w, std::size_t i, bool rows,
-                                   const std::vector<std::size_t>* live, bool inverse) {
-  const auto at = [&](std::size_t p) { return rows ? grid[i * n + p] : grid[p * w + i]; };
-  std::vector<cfloat> line(n, cfloat{});
-  if (live != nullptr) {
-    for (const std::size_t p : *live) line[p] = at(p);
-  } else {
-    for (std::size_t p = 0; p < n; ++p) line[p] = at(p);
-  }
+                                   bool inverse) {
+  std::vector<cfloat> line(n);
+  for (std::size_t p = 0; p < n; ++p) line[p] = rows ? grid[i * n + p] : grid[p * w + i];
   row_kernel(line.data(), fft::plan_for(n), inverse);
   return line;
 }
@@ -430,59 +426,46 @@ TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
     Prng rng(207);
     for (std::size_t n = 1; n <= 1024; n *= 2) {
       const fft::FftPlan& plan = fft::plan_for(n);
-      std::vector<std::size_t> live;
-      for (std::size_t p = 0; p < n; ++p)
-        if (rng.uniform(0.0, 1.0) < 0.3) live.push_back(p);
-      const std::span<const std::size_t> live_span(live);
       for (const bool rows : {false, true}) {
         for (const bool inverse : {false, true}) {
-          for (const bool pruned : {false, true}) {
-            for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-              const std::vector<std::size_t>& sel = groups[gi];
-              // Unaligned grid and blocks: start 0, 1 or 3 elements past the
-              // allocation.
-              const std::size_t off = kOffsets[gi % std::size(kOffsets)];
-              SCOPED_TRACE(::testing::Message()
-                           << simd_level_name(lvl) << " n=" << n << " rows=" << rows
-                           << " inverse=" << inverse << " pruned=" << pruned
-                           << " group=" << gi << " off=" << off);
-              std::vector<cfloat> buf = random_complex(rng, n * lines + off);
-              cfloat* grid = buf.data() + off;
-              // Exact zeros of both signs, which the butterflies must carry
-              // through exactly as the row kernel does.
-              for (std::size_t i = 0; i < n * lines; i += 7) grid[i] = {0.0f, -0.0f};
-              const auto index = [&](std::size_t p, std::size_t i) {
-                return rows ? i * n + p : p * lines + i;
-              };
-              // A pruned transform must never read an unlisted point.
-              if (pruned)
-                for (std::size_t p = 0; p < n; ++p)
-                  if (!std::binary_search(live.begin(), live.end(), p))
-                    for (std::size_t i = 0; i < lines; ++i) grid[index(p, i)] = {nan, nan};
-              const std::vector<cfloat> before = buf;
+          for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+            const std::vector<std::size_t>& sel = groups[gi];
+            // Unaligned grid and blocks: start 0, 1 or 3 elements past the
+            // allocation.
+            const std::size_t off = kOffsets[gi % std::size(kOffsets)];
+            SCOPED_TRACE(::testing::Message()
+                         << simd_level_name(lvl) << " n=" << n << " rows=" << rows
+                         << " inverse=" << inverse << " group=" << gi << " off=" << off);
+            std::vector<cfloat> buf = random_complex(rng, n * lines + off);
+            cfloat* grid = buf.data() + off;
+            // Exact zeros of both signs, which the butterflies must carry
+            // through exactly as the row kernel does.
+            for (std::size_t i = 0; i < n * lines; i += 7) grid[i] = {0.0f, -0.0f};
+            const auto index = [&](std::size_t p, std::size_t i) {
+              return rows ? i * n + p : p * lines + i;
+            };
+            const std::vector<cfloat> before = buf;
 
-              fft::LaneGroup g;
-              g.lanes = sel.size();
-              g.stride = rows ? 1 : lines;
-              for (std::size_t j = 0; j < sel.size(); ++j)
-                g.lane[j] = grid + (rows ? sel[j] * n : sel[j]);
-              g.live = pruned ? &live_span : nullptr;
-              std::vector<float> blocks(fft::kBlock * n + off, nan);
-              fft::gather_lanes(g, plan, blocks.data() + off);
-              lanes8(blocks.data() + off, plan, inverse);
-              fft::scatter_lanes(g, n, blocks.data() + off);
+            fft::LaneGroup g;
+            g.lanes = sel.size();
+            g.stride = rows ? 1 : lines;
+            for (std::size_t j = 0; j < sel.size(); ++j)
+              g.lane[j] = grid + (rows ? sel[j] * n : sel[j]);
+            std::vector<float> blocks(fft::kBlock * n + off, nan);
+            fft::gather_lanes(g, plan, blocks.data() + off);
+            lanes8(blocks.data() + off, plan, inverse);
+            fft::scatter_lanes(g, n, blocks.data() + off);
 
-              for (std::size_t i = 0; i < lines; ++i) {
-                const bool listed = std::find(sel.begin(), sel.end(), i) != sel.end();
-                const std::vector<cfloat> ref =
-                    listed ? reference_line(row_kernel, before.data() + off, n, lines, i, rows,
-                                            pruned ? &live : nullptr, inverse)
-                           : std::vector<cfloat>();
-                for (std::size_t p = 0; p < n; ++p) {
-                  const cfloat& want = listed ? ref[p] : before[off + index(p, i)];
-                  ASSERT_EQ(0, std::memcmp(&grid[index(p, i)], &want, sizeof(cfloat)))
-                      << (listed ? "line " : "unlisted line ") << i << " point " << p;
-                }
+            for (std::size_t i = 0; i < lines; ++i) {
+              const bool listed = std::find(sel.begin(), sel.end(), i) != sel.end();
+              const std::vector<cfloat> ref =
+                  listed ? reference_line(row_kernel, before.data() + off, n, lines, i, rows,
+                                          inverse)
+                         : std::vector<cfloat>();
+              for (std::size_t p = 0; p < n; ++p) {
+                const cfloat& want = listed ? ref[p] : before[off + index(p, i)];
+                ASSERT_EQ(0, std::memcmp(&grid[index(p, i)], &want, sizeof(cfloat)))
+                    << (listed ? "line " : "unlisted line ") << i << " point " << p;
               }
             }
           }
@@ -495,8 +478,9 @@ TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
 TEST(FftLanes8Conformance, TwoDimensionalPassesAreBitwisePerLineTransforms) {
   // The 2-D passes end to end: batching, tail batches and thread chunking
   // must not move a bit against one row-kernel transform per row, then per
-  // column.
-  const std::size_t dims[][2] = {{2, 8}, {16, 4}, {4, 2}, {32, 64}, {256, 32}};
+  // column. Power-of-two passes leave tail batches of 1, 2 and 4 lines; the
+  // other tail sizes come from the SOCS support lists (BandLimitedFft below).
+  const std::size_t dims[][2] = {{1, 16}, {8, 1}, {2, 8}, {16, 4}, {4, 2}, {32, 64}, {256, 32}};
   for (const SimdLevel lvl : present_arms()) {
     LevelGuard guard;
     set_simd_level(lvl);
@@ -515,30 +499,13 @@ TEST(FftLanes8Conformance, TwoDimensionalPassesAreBitwisePerLineTransforms) {
           const std::vector<cfloat> rows_done = ref;
           for (std::size_t c = 0; c < w; ++c) {
             const std::vector<cfloat> col =
-                reference_line(row_kernel, rows_done.data(), h, w, c, false, nullptr, inverse);
+                reference_line(row_kernel, rows_done.data(), h, w, c, false, inverse);
             for (std::size_t r = 0; r < h; ++r) ref[r * w + c] = col[r];
           }
           fft::fft_2d(got.data(), h, w, inverse);
           EXPECT_EQ(0, std::memcmp(got.data(), ref.data(), npx * sizeof(cfloat)))
               << "fft_2d inverse=" << inverse;
         }
-        // Listed columns leave tail batches of every size.
-        for (const std::size_t ncols : {std::size_t{1}, std::size_t{3}, w - 1}) {
-          std::vector<std::size_t> cols;
-          for (std::size_t c = 0; c < w && cols.size() < ncols; c += 1 + (c % 2)) cols.push_back(c);
-          const std::vector<cfloat> x = random_complex(rng, npx);
-          std::vector<cfloat> rows_done = x, got = x;
-          for (std::size_t r = 0; r < h; ++r)
-            row_kernel(rows_done.data() + r * w, fft::plan_for(w), false);
-          fft::fft_2d_cols(got.data(), h, w, cols);
-          for (const std::size_t c : cols) {
-            const std::vector<cfloat> col =
-                reference_line(row_kernel, rows_done.data(), h, w, c, false, nullptr, false);
-            for (std::size_t r = 0; r < h; ++r)
-              ASSERT_EQ(0, std::memcmp(&got[r * w + c], &col[r], sizeof(cfloat)))
-                  << "fft_2d_cols, " << cols.size() << " columns, column " << c;
-          }
-        }
       }
     }
   }
@@ -546,84 +513,168 @@ TEST(FftLanes8Conformance, TwoDimensionalPassesAreBitwisePerLineTransforms) {
 }
 
 // ---------------------------------------------------------------------------
-// Band-limited transforms: ifft_2d_rows / fft_2d_cols against fft_2d
+// Band-limited SOCS passes: aerial_into / gradient_into against dense fft_2d
 // ---------------------------------------------------------------------------
 
-/// Every index list shape the SOCS passes can hand over for an n-point axis:
-/// random, wrapped around index 0 (a pupil disk at DC), single, empty, full.
-std::vector<std::vector<std::size_t>> index_lists(Prng& rng, std::size_t n) {
-  std::vector<std::vector<std::size_t>> lists(5);
-  for (std::size_t i = 0; i < n; ++i)
-    if (rng.uniform(0.0, 1.0) < 0.3) lists[0].push_back(i);
-  const std::size_t k = n / 8;
-  for (std::size_t i = 0; i <= k; ++i) lists[1].push_back(i);
-  for (std::size_t i = n - k; i < n; ++i)
-    if (i > k) lists[1].push_back(i);
-  lists[2].push_back(static_cast<std::size_t>(rng.randint(0, static_cast<std::int64_t>(n) - 1)));
-  lists[4].resize(n);
-  std::iota(lists[4].begin(), lists[4].end(), std::size_t{0});
-  return lists;
+/// A list of `count` indices of an n-point axis starting at `first`,
+/// wrapping past n - 1 to 0, in ascending order.
+std::vector<std::size_t> wrapped_run(std::size_t first, std::size_t count, std::size_t n) {
+  std::vector<std::size_t> list;
+  for (std::size_t i = 0; i < count; ++i) list.push_back((first + i) % n);
+  std::sort(list.begin(), list.end());
+  return list;
 }
 
-/// Bins where `got` differs from `ref`. `==` treats -0 and +0 as equal, the
-/// one difference the band-limited transforms are allowed.
-std::size_t count_mismatches(const std::vector<cfloat>& got, const std::vector<cfloat>& ref) {
-  std::size_t bad = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) bad += !(got[i] == ref[i]);
-  return bad;
+/// Every support shape the band-limited passes can be handed on an n x n
+/// grid, one kernel each: empty, a single bin, a disk wrapped around DC,
+/// random rows and columns, the full grid, and R rows by C columns for
+/// R = 1..9 against C = 9..1, so every tail batch of 1..7 support rows and
+/// columns is run.
+std::vector<litho::SocsKernels::Support> support_shapes(Prng& rng, std::size_t n) {
+  std::vector<litho::SocsKernels::Support> shapes(5);
+  shapes[1] = {{n / 2 + 1}, {n - 1}};
+  const std::size_t k = std::max<std::size_t>(n / 8, 1);
+  shapes[2] = {wrapped_run(n - k, 2 * k + 1, n), wrapped_run(n - k, 2 * k + 1, n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.uniform(0.0, 1.0) < 0.3) shapes[3].rows.push_back(i);
+    if (rng.uniform(0.0, 1.0) < 0.3) shapes[3].cols.push_back(i);
+  }
+  if (shapes[3].rows.empty()) shapes[3].rows.push_back(0);
+  if (shapes[3].cols.empty()) shapes[3].cols.push_back(0);
+  shapes[4] = {wrapped_run(0, n, n), wrapped_run(0, n, n)};
+  for (std::size_t r = 1; r <= 9; ++r) {
+    const std::size_t c = 10 - r;
+    shapes.push_back({wrapped_run(3 * r, std::min(r, n), n), wrapped_run(n - 2, std::min(c, n), n)});
+  }
+  return shapes;
 }
 
-TEST(BandLimitedFft, EqualsDenseTransformOnEveryArmAndThreadCount) {
-  std::vector<SimdLevel> arms = {SimdLevel::kScalar};
-  if (have_avx2()) arms.push_back(SimdLevel::kAvx2);
-  const std::size_t dims[][2] = {{1, 8}, {4, 16}, {16, 16}, {32, 8}, {64, 64}};
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (const SimdLevel lvl : arms) {
-    LevelGuard guard;
-    set_simd_level(lvl);
-    for (const std::size_t threads : {1u, 3u, 4u}) {
-      ThreadPool::reset(threads);
-      Prng rng(206);
-      for (const auto& hw : dims) {
-        const std::size_t h = hw[0], w = hw[1], npx = h * w;
-        SCOPED_TRACE(::testing::Message() << simd_level_name(lvl) << " threads=" << threads
-                                          << " " << h << "x" << w);
-        for (const auto& rows : index_lists(rng, h)) {
-          // Inverse: the reference zero-pads the unlisted rows; the pruned
-          // transform gets NaN there, which it must never read.
-          const std::vector<cfloat> x = random_complex(rng, npx);
-          std::vector<cfloat> ref(npx, cfloat{}), got(npx, cfloat{nan, nan});
-          for (const std::size_t r : rows)
-            for (std::size_t c = 0; c < w; ++c) ref[r * w + c] = got[r * w + c] = x[r * w + c];
-          fft::fft_2d(ref.data(), h, w, /*inverse=*/true);
-          fft::ifft_2d_rows(got.data(), h, w, rows);
-          EXPECT_EQ(count_mismatches(got, ref), 0u) << "ifft_2d_rows, " << rows.size()
-                                                    << " rows";
-        }
-        for (const auto& cols : index_lists(rng, w)) {
-          // Forward: only the listed columns are defined.
-          const std::vector<cfloat> x = random_complex(rng, npx);
-          std::vector<cfloat> ref = x, got = x;
-          fft::fft_2d(ref.data(), h, w, /*inverse=*/false);
-          fft::fft_2d_cols(got.data(), h, w, cols);
-          std::size_t bad = 0;
-          for (std::size_t r = 0; r < h; ++r)
-            for (const std::size_t c : cols) bad += !(got[r * w + c] == ref[r * w + c]);
-          EXPECT_EQ(bad, 0u) << "fft_2d_cols, " << cols.size() << " columns";
-        }
+/// Kernels whose spectra hold random nonzero values exactly on each shape's
+/// rows x columns, with nonincreasing weights.
+litho::SocsKernels shaped_kernels(Prng& rng, std::int32_t grid, std::int32_t pixel,
+                                  const std::vector<litho::SocsKernels::Support>& shapes) {
+  const auto n = static_cast<std::size_t>(grid);
+  litho::TccKernelSet set;
+  set.captured_energy = 1.0;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    std::vector<cfloat> hat(n * n);
+    for (const std::size_t r : shapes[s].rows)
+      for (const std::size_t c : shapes[s].cols)
+        hat[r * n + c] = {static_cast<float>(rng.uniform(0.1, 1.0)),
+                          static_cast<float>(rng.uniform(-1.0, -0.1))};
+    set.kernels_hat.push_back(std::move(hat));
+    set.weights.push_back(1.0f / static_cast<float>(s + 1));
+  }
+  return litho::SocsKernels(litho::OpticsConfig{}, grid, pixel, std::move(set));
+}
+
+/// Interleaved complex pixels as split blocks of 8 consecutive pixels.
+std::vector<float> to_blocks(const std::vector<cfloat>& v) {
+  std::vector<float> b(v.size() * 2);
+  for (std::size_t p = 0; p < v.size(); ++p) {
+    b[(p / fft::kLanes) * fft::kBlock + p % fft::kLanes] = v[p].real();
+    b[(p / fft::kLanes) * fft::kBlock + fft::kLanes + p % fft::kLanes] = v[p].imag();
+  }
+  return b;
+}
+
+std::vector<cfloat> from_blocks(const std::vector<float>& b) {
+  std::vector<cfloat> v(b.size() / 2);
+  for (std::size_t p = 0; p < v.size(); ++p)
+    v[p] = {b[(p / fft::kLanes) * fft::kBlock + p % fft::kLanes],
+            b[(p / fft::kLanes) * fft::kBlock + fft::kLanes + p % fft::kLanes]};
+  return v;
+}
+
+/// Eq. 2 and the Eq. 14 gradient the dense way, every transform a full
+/// fft_2d, with the same per-pixel arithmetic and summation order as the
+/// band-limited passes (the LaneOps kernels of the active arm). The skipped
+/// transforms only ever see exact zeros, so the results must match bit for
+/// bit.
+struct DenseSocs {
+  std::vector<float> aerial;
+  std::vector<float> gradient;
+};
+
+DenseSocs dense_socs(const litho::SocsKernels& kernels, const geom::Grid& mask,
+                     const geom::Grid& target, std::span<const float> doses, float threshold,
+                     float alpha) {
+  const auto n = static_cast<std::size_t>(kernels.grid_size());
+  const std::size_t npx = n * n;
+  const fft::LaneOps& ops = fft::lane_ops();
+  std::vector<cfloat> mask_hat(npx);
+  fft::rfft_2d(mask.data.data(), mask_hat.data(), n, n);
+  std::vector<std::vector<float>> fields;
+  std::vector<double> acc(npx, 0.0);
+  for (int k = 0; k < kernels.count(); ++k) {
+    std::vector<cfloat> a(npx);
+    fft::vec_ops().cmul(mask_hat.data(), kernels.freq_kernel(k).data(), a.data(), npx);
+    fft::fft_2d(a, n, n, /*inverse=*/true);
+    fields.push_back(to_blocks(a));
+    ops.norm_weighted_accum(fields.back().data(), kernels.weight(k), acc.data(),
+                            npx / fft::kLanes);
+  }
+  DenseSocs out;
+  out.aerial.resize(npx);
+  for (std::size_t p = 0; p < npx; ++p) out.aerial[p] = static_cast<float>(acc[p]);
+
+  std::fill(acc.begin(), acc.end(), 0.0);
+  std::vector<float> x(npx), y(2 * npx);
+  for (const float dose : doses) {
+    for (std::size_t p = 0; p < npx; ++p) {
+      const float z = 1.0f / (1.0f + std::exp(-alpha * (out.aerial[p] * dose - threshold)));
+      x[p] = 2.0f * (z - target.data[p]) * alpha * dose * z * (1.0f - z);
+    }
+    for (int k = 0; k < kernels.count(); ++k) {
+      ops.cmul_conj_real(x.data(), fields[static_cast<std::size_t>(k)].data(), y.data(),
+                         npx / fft::kLanes);
+      std::vector<cfloat> b = from_blocks(y);
+      fft::fft_2d(b, n, n, /*inverse=*/false);
+      fft::vec_ops().cmul(b.data(), kernels.freq_kernel_flipped(k).data(), b.data(), npx);
+      fft::fft_2d(b, n, n, /*inverse=*/true);
+      ops.real_weighted_accum(to_blocks(b).data(), 2.0 * kernels.weight(k), acc.data(),
+                              npx / fft::kLanes);
+    }
+  }
+  out.gradient.resize(npx);
+  const double inv_d = 1.0 / static_cast<double>(doses.size());
+  for (std::size_t p = 0; p < npx; ++p) out.gradient[p] = static_cast<float>(acc[p] * inv_d);
+  return out;
+}
+
+TEST(BandLimitedFft, SocsPassesEqualDenseTransformsOnEveryArmAndThreadCount) {
+  const std::int32_t pixel = 16;
+  const float doses[] = {0.98f, 1.0f, 1.02f};
+  for (const std::int32_t grid : {4, 16, 64}) {
+    Prng rng(206 + static_cast<std::uint64_t>(grid));
+    const auto n = static_cast<std::size_t>(grid);
+    const litho::SocsKernels kernels = shaped_kernels(rng, grid, pixel, support_shapes(rng, n));
+    geom::Grid mask(grid, grid, pixel), target(grid, grid, pixel);
+    for (auto& v : mask.data) v = rng.uniform(0.0, 1.0) < 0.4 ? 1.0f : 0.0f;
+    for (auto& v : target.data) v = rng.uniform(0.0, 1.0) < 0.4 ? 1.0f : 0.0f;
+    litho::ResistConfig resist;
+    resist.threshold = 0.05f;
+    const litho::LithoSim sim(kernels, resist);
+    for (const SimdLevel lvl : present_arms()) {
+      LevelGuard guard;
+      set_simd_level(lvl);
+      const DenseSocs want =
+          dense_socs(kernels, mask, target, doses, sim.threshold(), resist.sigmoid_alpha);
+      ASSERT_GT(*std::max_element(want.aerial.begin(), want.aerial.end()), 0.0f);
+      for (const std::size_t threads : {1u, 3u, 4u}) {
+        ThreadPool::reset(threads);
+        SCOPED_TRACE(::testing::Message()
+                     << simd_level_name(lvl) << " threads=" << threads << " grid=" << grid);
+        litho::LithoWorkspace ws;
+        geom::Grid aerial, grad;
+        sim.aerial_into(mask, aerial, ws);
+        EXPECT_EQ(0, std::memcmp(aerial.data.data(), want.aerial.data(), n * n * sizeof(float)));
+        sim.gradient_into(mask, target, doses, grad, ws);
+        EXPECT_EQ(0, std::memcmp(grad.data.data(), want.gradient.data(), n * n * sizeof(float)));
       }
     }
   }
   ThreadPool::reset(ThreadPool::default_thread_count());
-}
-
-TEST(BandLimitedFft, RejectsUnsortedOrOutOfRangeLists) {
-  std::vector<cfloat> data(8 * 8);
-  const std::vector<std::size_t> unsorted = {3, 1}, repeated = {2, 2}, outside = {8};
-  for (const auto* list : {&unsorted, &repeated, &outside}) {
-    EXPECT_THROW(fft::ifft_2d_rows(data.data(), 8, 8, *list), std::exception);
-    EXPECT_THROW(fft::fft_2d_cols(data.data(), 8, 8, *list), std::exception);
-  }
 }
 
 /// Rows and columns of an n x n spectrum holding a nonzero bin, by brute force.
