@@ -22,9 +22,8 @@ std::size_t next_pow2(std::size_t n) {
 
 namespace {
 
-/// The kernels for the active dispatch level. Resolved per pass so tests can
+/// The kernel for the active dispatch level. Resolved per pass so tests can
 /// flip `set_simd_level` between calls.
-inline FftInplaceFn active_fft() { return fft_inplace_for(simd_level()); }
 inline FftLanes8Fn active_lanes() { return lane_ops().fft; }
 
 /// Lanes of group g of a `count`-transform pass.
@@ -93,10 +92,8 @@ void col_pass(cfloat* data, std::size_t height, std::size_t width, std::size_t c
 void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t width,
                    std::size_t cols) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
-  const FftPlan& row_plan = plan_for(width);
   if (height == 1) {
-    count_transforms(1);
-    active_fft()(spec, row_plan, true);
+    row_pass(spec, width, 1, true);
     for (std::size_t c = 0; c < width; ++c) out[c] = spec[c].real();
     return;
   }
@@ -112,6 +109,7 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
   // kLanes*g + j. Upper-column bins are rebuilt from the mirror as they are
   // consumed.
   const std::size_t pairs = height / 2;
+  const FftPlan& row_plan = plan_for(width);
   const FftLanes8Fn kernel = active_lanes();
   count_transforms(pairs);
   parallel_for(0, lane_groups(pairs), [&](std::size_t g) {
@@ -162,12 +160,6 @@ void count_transforms(std::size_t n) {
   transforms.inc(n);
 }
 
-void fft_1d(std::vector<cfloat>& data, bool inverse) {
-  GANOPC_CHECK_MSG(is_pow2(data.size()), "FFT size must be a power of two");
-  count_transforms(1);
-  active_fft()(data.data(), plan_for(data.size()), inverse);
-}
-
 void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
   // Rows: note we do NOT apply 1/N scaling per axis separately; the butterfly
@@ -184,18 +176,16 @@ void fft_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width, bo
 
 void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
-  const FftInplaceFn kernel = active_fft();
-  const FftPlan& row_plan = plan_for(width);
   if (height == 1) {
     for (std::size_t c = 0; c < width; ++c) out[c] = cfloat(in[c], 0.0f);
-    count_transforms(1);
-    kernel(out, row_plan, false);
+    row_pass(out, width, 1, false);
     return;
   }
   // Row pass at half cost: pack two real rows r, r+1 into one complex row,
   // transform once, untangle via Hermitian symmetry into both row spectra.
   // Lane j of a batch is row pair kLanes*g + j.
   const std::size_t pairs = height / 2;
+  const FftPlan& row_plan = plan_for(width);
   const FftLanes8Fn lanes_kernel = active_lanes();
   count_transforms(pairs);
   parallel_for(0, lane_groups(pairs), [&](std::size_t g) {
@@ -252,6 +242,9 @@ std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t
                                        std::size_t width, std::size_t factor) {
   GANOPC_CHECK(in.size() == height * width);
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "dims must be powers of two");
+  // A one-row or one-column grid has no Nyquist row or column to split, and
+  // the mirror below would write past the end of the large spectrum.
+  GANOPC_CHECK_MSG(height >= 2 && width >= 2, "upsampling needs at least a 2x2 grid");
   GANOPC_CHECK(factor >= 1 && is_pow2(factor));
   if (factor == 1) return in;
   const std::size_t oh = height * factor, ow = width * factor;
@@ -286,20 +279,6 @@ std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t
   irfft_2d_band(big.data(), out.data(), oh, ow, hw + 1);
   const auto scale = static_cast<float>(factor) * factor;  // FFT normalization
   for (auto& v : out) v *= scale;
-  return out;
-}
-
-std::vector<float> circular_convolve_2d(const std::vector<float>& a,
-                                        const std::vector<float>& b,
-                                        std::size_t height, std::size_t width) {
-  GANOPC_CHECK(a.size() == height * width && b.size() == height * width);
-  const std::size_t npx = height * width;
-  std::vector<cfloat> fa(npx), fb(npx);
-  rfft_2d(a.data(), fa.data(), height, width);
-  rfft_2d(b.data(), fb.data(), height, width);
-  vec_ops().cmul(fa.data(), fb.data(), fa.data(), npx);
-  std::vector<float> out(npx);
-  irfft_2d(fa.data(), out.data(), height, width);
   return out;
 }
 

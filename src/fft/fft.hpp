@@ -1,4 +1,6 @@
-// Radix-2 complex FFT (1-D and 2-D) used by the Hopkins lithography engine.
+// Radix-2 complex 2-D FFT used by the Hopkins lithography engine. Every
+// row and column pass runs on the split-complex batch kernel fft_lanes8
+// (fft_kernels.hpp); a 1-D transform is a one-row 2-D transform.
 //
 // Conventions:
 //   forward:  X[k] = sum_n x[n] * exp(-2*pi*i*k*n/N)      (no scaling)
@@ -20,9 +22,6 @@ bool is_pow2(std::size_t n);
 
 /// Smallest power of two >= n.
 std::size_t next_pow2(std::size_t n);
-
-/// In-place 1-D FFT of length n = data.size(). Requires power-of-two size.
-void fft_1d(std::vector<cfloat>& data, bool inverse);
 
 /// In-place 2-D FFT of a row-major height x width grid. Power-of-two dims.
 /// Parallelized over rows/columns via the shared thread pool.
@@ -51,14 +50,8 @@ void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t widt
 /// integer factor. Exact for signals whose spectrum vanishes above the input
 /// Nyquist — true of aerial images, whose bandwidth is set by the pupil.
 /// Output is (h*factor) x (w*factor); values reproduce the input at the
-/// original sample points up to FFT round-off.
+/// original sample points up to FFT round-off. Both dims must be at least 2.
 std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t height,
                                        std::size_t width, std::size_t factor);
-
-/// Circular (periodic) 2-D convolution of two same-size real grids via FFT:
-/// out[p] = sum_q a[q] * b[p - q mod N]. Grids are height x width row-major.
-std::vector<float> circular_convolve_2d(const std::vector<float>& a,
-                                        const std::vector<float>& b,
-                                        std::size_t height, std::size_t width);
 
 }  // namespace ganopc::fft

@@ -12,13 +12,12 @@ void fft_inplace_scalar(cfloat* a, const FftPlan& plan, bool inverse) {
     const std::size_t j = plan.bitrev[i];
     if (i < j) std::swap(a[i], a[j]);
   }
-  const cfloat* tw = plan.twiddle.data();
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
-    const std::size_t step = n / len;
+    const cfloat* tw = plan.stage_twiddle.data() + (half - 1);
     for (std::size_t i = 0; i < n; i += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        const cfloat w = inverse ? std::conj(tw[k * step]) : tw[k * step];
+        const cfloat w = inverse ? std::conj(tw[k]) : tw[k];
         const cfloat u = a[i + k];
         const cfloat v = a[i + k + half] * w;
         a[i + k] = u + v;
@@ -73,12 +72,16 @@ void load_rows(const SplitGrid& grid, std::span<const std::size_t> rows, std::si
 }
 
 void load_rows(const cfloat* grid, std::size_t width, std::span<const std::size_t> rows,
-               std::span<const std::size_t> cols, float* out) {
+               std::span<const std::size_t> cols, float* out, bool negated) {
+  const auto at = [&](std::size_t i) { return negated ? (width - i) % width : i; };
+  std::size_t row_start[kLanes] = {};
+  for (std::size_t j = 0; j < rows.size(); ++j) row_start[j] = at(rows[j]) * width;
   if (rows.size() < kLanes) std::fill(out, out + kBlock * cols.size(), 0.0f);
   for (std::size_t c = 0; c < cols.size(); ++c) {
     float* blk = out + kBlock * c;
+    const std::size_t col = at(cols[c]);
     for (std::size_t j = 0; j < rows.size(); ++j) {
-      const cfloat v = grid[rows[j] * width + cols[c]];
+      const cfloat v = grid[row_start[j] + col];
       blk[j] = v.real();
       blk[kLanes + j] = v.imag();
     }
@@ -126,13 +129,12 @@ void fft_lanes8_scalar(float* b, const FftPlan& plan, bool inverse) {
   // fft_inplace_scalar on eight lanes: the same twiddle, product and sum per
   // butterfly, so each lane is bitwise that kernel's output.
   const std::size_t n = plan.n;
-  const cfloat* tw = plan.twiddle.data();
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
-    const std::size_t step = n / len;
+    const cfloat* tw = plan.stage_twiddle.data() + (half - 1);
     for (std::size_t i = 0; i < n; i += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        const cfloat w = inverse ? std::conj(tw[k * step]) : tw[k * step];
+        const cfloat w = inverse ? std::conj(tw[k]) : tw[k];
         float* lo = b + kBlock * (i + k);
         float* hi = b + kBlock * (i + k + half);
         for (std::size_t j = 0; j < kLanes; ++j) {
@@ -155,16 +157,11 @@ void fft_lanes8_scalar(float* b, const FftPlan& plan, bool inverse) {
 
 namespace {
 
-void cmul_scalar(const cfloat* a, const cfloat* b, cfloat* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 /// Lane j of split block `b` as a complex value.
 inline cfloat lane(const float* b, std::size_t j) { return {b[j], b[kLanes + j]}; }
 
-// The split-block kernels below spell each lane as the std::complex
-// expression of the interleaved scalar kernel they replaced, so both compile
-// to the same operations.
+// The split-block kernels below spell each lane as a std::complex
+// expression, the scalar arm's per-element arithmetic.
 void lanes_cmul_scalar(const float* a, const float* b, float* out, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i, a += kBlock, b += kBlock, out += kBlock)
     for (std::size_t j = 0; j < kLanes; ++j) {
@@ -196,21 +193,12 @@ void lanes_real_weighted_accum_scalar(const float* f, double w, double* acc,
     for (std::size_t j = 0; j < kLanes; ++j) acc[j] += w * f[j];
 }
 
-constexpr VecOps kScalarOps = {cmul_scalar};
 constexpr LaneOps kScalarLaneOps = {fft_lanes8_scalar, lanes_cmul_scalar,
                                     lanes_cmul_conj_real_scalar,
                                     lanes_norm_weighted_accum_scalar,
                                     lanes_real_weighted_accum_scalar};
 
 }  // namespace
-
-const VecOps& vec_ops(SimdLevel level) {
-  return level == SimdLevel::kAvx2 ? vec_ops_avx2() : kScalarOps;
-}
-
-FftInplaceFn fft_inplace_for(SimdLevel level) {
-  return level == SimdLevel::kAvx2 ? fft_inplace_avx2 : fft_inplace_scalar;
-}
 
 const LaneOps& lane_ops(SimdLevel level) {
   return level == SimdLevel::kAvx2 ? lane_ops_avx2() : kScalarLaneOps;

@@ -2,26 +2,25 @@
 //
 // Two arms per kernel, selected by ganopc::SimdLevel:
 //   - scalar: portable C++, the conformance reference; compiled everywhere.
-//   - avx2:   AVX2+FMA implementations in fft_avx2.cpp and lanes8_avx2.cpp
-//             (TUs built with -mavx2 -mfma). On non-x86 builds the avx2 symbols forward to
+//   - avx2:   AVX2+FMA implementations in lanes8_avx2.cpp (a TU built with
+//             -mavx2 -mfma). On non-x86 builds the avx2 symbols forward to
 //             scalar so the table is always complete; dispatch never selects
 //             them unless the cpuid probe passed.
 //
-// `fft_inplace` is the whole-transform butterfly kernel of 1-D transforms.
-// `fft_lanes8` is the kernel of every 2-D row and column pass: it transforms
+// `fft_lanes8` is the one butterfly kernel: every row and column pass of the
+// 2-D transforms and of the SOCS passes (src/litho) runs on it. It transforms
 // eight signals side by side in split-complex form (eight reals, then eight
 // imaginaries per point), so a butterfly is whole-vector arithmetic with no
-// shuffles, and each lane's output is bitwise equal to `fft_inplace` of the
-// same arm. The LaneOps entries are the element-wise loops of the SOCS
-// forward/adjoint passes (src/litho) on the same split blocks; they live here
+// shuffles. On the scalar arm each lane is bitwise `fft_inplace_scalar`, the
+// single-signal reference. The LaneOps entries are the element-wise loops of
+// the SOCS forward/adjoint passes on the same split blocks; they live here
 // because they share the split-complex SIMD layout with the butterflies. All
 // kernels are deterministic: fixed evaluation order, no data-dependent
 // shortcuts, so each arm is bit-reproducible run-to-run.
 //
-// The AVX2 split-complex kernels live in lanes8_avx2.cpp, built with
-// -ffp-contract=off: GCC's default contraction would fuse a separate multiply
-// and add (a norm re*re + im*im) into one FMA and move bits against the
-// interleaved kernels they reproduce. Every product that must fuse is an
+// lanes8_avx2.cpp is built with -ffp-contract=off: GCC's default contraction
+// would fuse a separate multiply and add (a norm re*re + im*im) into one FMA
+// and move the pinned output bytes. Every product that must fuse is an
 // explicit fma intrinsic.
 #pragma once
 
@@ -36,12 +35,10 @@ namespace ganopc::fft {
 using cfloat = std::complex<float>;
 struct FftPlan;
 
-/// In-place radix-2 transform of plan.n points (bit-reversal + butterflies +
-/// inverse 1/n scaling). Both arms implement the identical algorithm.
-using FftInplaceFn = void (*)(cfloat* a, const FftPlan& plan, bool inverse);
-
+/// In-place radix-2 transform of plan.n interleaved points (bit-reversal +
+/// butterflies + inverse 1/n scaling): the single-signal reference that each
+/// lane of fft_lanes8_scalar reproduces bit for bit.
 void fft_inplace_scalar(cfloat* a, const FftPlan& plan, bool inverse);
-void fft_inplace_avx2(cfloat* a, const FftPlan& plan, bool inverse);
 
 /// Lanes of the split-complex batch kernel, and floats per point of a batch:
 /// kLanes real parts, then kLanes imaginary parts.
@@ -53,9 +50,10 @@ inline constexpr std::size_t kBlock = 2 * kLanes;
 /// point p of every lane (lane j's real part at [j], its imaginary part at
 /// [kLanes + j]). The input is in bit-reversed order — block p holds input
 /// point bitrev[p], which the gathers fold in — and the output in natural
-/// order. Lane j's result is bitwise equal to `fft_inplace` of the same arm on
-/// that lane's signal, so moving a transform between the kernels never moves
-/// a bit.
+/// order. On the scalar arm lane j's result is bitwise fft_inplace_scalar of
+/// that lane's signal; the AVX2 arm forms each twiddle product v*w as
+/// (fma(vr, wr, -vi*wi), fma(vr, wi, vi*wr)) (DESIGN.md §12). Lanes never mix,
+/// so which lane or batch a signal lands in never moves a bit.
 using FftLanes8Fn = void (*)(float* blocks, const FftPlan& plan, bool inverse);
 
 void fft_lanes8_scalar(float* blocks, const FftPlan& plan, bool inverse);
@@ -117,10 +115,14 @@ void spread_blocks(const float* src, std::size_t step, std::span<const std::size
 /// columns [0, count), into lane j of blocks out[0 .. count). With an
 /// interleaved row-major grid of row length `width`: row rows[j] at columns
 /// cols[c] into lane j of block c. Lanes past rows.size() are zero.
+///
+/// With `negated`, the interleaved grid must be width x width and each bin is
+/// read at the negated frequency ((width - r) % width, (width - c) % width):
+/// the spectrum H(-f) of the flipped kernel h(-x), read from H without a copy.
 void load_rows(const SplitGrid& grid, std::span<const std::size_t> rows, std::size_t count,
                float* out);
 void load_rows(const cfloat* grid, std::size_t width, std::span<const std::size_t> rows,
-               std::span<const std::size_t> cols, float* out);
+               std::span<const std::size_t> cols, float* out, bool negated = false);
 
 /// Rows become lanes, bit-reversed: a kLanes x kLanes tile (block j holding
 /// row j of column group g) into lanes 0..lanes-1 of plan.n-point signals,
@@ -144,12 +146,13 @@ void store_columns(const float* blocks, std::span<const std::size_t> points, std
                    std::size_t first, const FftPlan& plan, float* batches);
 
 /// Element-wise kernels on split-complex blocks for the SOCS passes
-/// (src/litho). Each lane gets exactly the arithmetic of the interleaved
-/// VecOps kernel of the same arm it replaced, so batching changes no bit.
-/// `count` is in blocks; accumulators hold kLanes doubles per block.
+/// (src/litho). Each lane's arithmetic is fixed per arm (std::complex
+/// expressions on the scalar arm, fma forms on the AVX2 arm), so batching
+/// changes no bit. `count` is in blocks; accumulators hold kLanes doubles per
+/// block.
 struct LaneOps {
   FftLanes8Fn fft;
-  /// out = a * b                      (VecOps::cmul per lane)
+  /// out = a * b
   void (*cmul)(const float* a, const float* b, float* out, std::size_t count);
   /// out = x * conj(a), x holding kLanes reals per block
   void (*cmul_conj_real)(const float* x, const float* a, float* out, std::size_t count);
@@ -159,24 +162,13 @@ struct LaneOps {
   void (*real_weighted_accum)(const float* f, double w, double* acc, std::size_t count);
 };
 
-/// Element-wise spectrum kernels on interleaved complex arrays. Ranges are
-/// [0, n) over raw pointers.
-struct VecOps {
-  /// out[i] = a[i] * b[i]
-  void (*cmul)(const cfloat* a, const cfloat* b, cfloat* out, std::size_t n);
-};
-
-/// Kernel tables for an explicit arm — the conformance tier's entry point.
-const VecOps& vec_ops(SimdLevel level);
+/// The kernel table for an explicit arm — the conformance tier's entry point.
 const LaneOps& lane_ops(SimdLevel level);
 
-/// The AVX2 tables (forward to scalar on non-x86 builds).
-const VecOps& vec_ops_avx2();
+/// The AVX2 table (forwards to scalar on non-x86 builds).
 const LaneOps& lane_ops_avx2();
-FftInplaceFn fft_inplace_for(SimdLevel level);
 
-/// Tables for the active process-wide level (resolves ganopc::simd_level()).
-inline const VecOps& vec_ops() { return vec_ops(simd_level()); }
+/// The table for the active process-wide level (resolves ganopc::simd_level()).
 inline const LaneOps& lane_ops() { return lane_ops(simd_level()); }
 
 }  // namespace ganopc::fft

@@ -5,16 +5,14 @@
 // A point of a batch is two vectors: eight real parts and eight imaginary
 // parts, one per lane. The complex product v*w is then
 //   re = fmsub(vr, wr, vi*wi),  im = fmadd(vr, wi, vi*wr)
-// with no shuffles — per lane exactly the operations of the interleaved
-// cmul4 (moveldup/movehdup + fmaddsub) in fft_avx2.cpp. fft_lanes8 copies
-// fft_inplace_avx2 stage by stage: the len-2 stage adds u + v and u + (-v),
-// the len-4 stage multiplies by the literals (1,0) and (0,-+1), the general
-// stages by the per-stage twiddles conjugated with a sign xor, and the inverse
-// scales by 1/n. Each lane is therefore bitwise that kernel's output.
+// with no shuffles. fft_lanes8 runs the len-2 stage as u + v and u + (-v),
+// the len-4 stage as products with the literals (1,0) and (0,-+1), the
+// general stages with the per-stage twiddles conjugated by a sign xor, and
+// the inverse scales by 1/n. Transforms below 4 points run the scalar arm.
 //
 // Contraction is off because a product written as a separate multiply must
 // stay a rounded multiply: the norm re*re + im*im rounds both squares before
-// the add, as the interleaved kernel does.
+// the add, and the pinned output bytes depend on it.
 #include "fft/fft_kernels.hpp"
 
 #include "fft/plan.hpp"
@@ -50,7 +48,7 @@ inline Split flip(Split a, __m256 neg) {
   return {_mm256_xor_ps(a.re, neg), _mm256_xor_ps(a.im, neg)};
 }
 
-/// v * w, the lane-wise arithmetic of cmul4(v, w).
+/// v * w per lane, the second product fused.
 inline Split mul(Split v, __m256 wr, __m256 wi) {
   return {_mm256_fmsub_ps(v.re, wr, _mm256_mul_ps(v.im, wi)),
           _mm256_fmadd_ps(v.re, wi, _mm256_mul_ps(v.im, wr))};
@@ -61,30 +59,22 @@ inline Split mul(Split v, __m256 wr, __m256 wi) {
 void fft_lanes8_avx2(float* b, const FftPlan& plan, bool inverse) {
   const std::size_t n = plan.n;
   if (n < 4) {
-    // Tiny transforms: the row kernel per lane (bitrev is the identity here,
-    // so the gathered order is already its input order).
-    cfloat lane[2];
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      for (std::size_t p = 0; p < n; ++p) lane[p] = {b[kBlock * p + j], b[kBlock * p + kLanes + j]};
-      fft_inplace_avx2(lane, plan, inverse);
-      for (std::size_t p = 0; p < n; ++p) {
-        b[kBlock * p + j] = lane[p].real();
-        b[kBlock * p + kLanes + j] = lane[p].imag();
-      }
-    }
+    fft_lanes8_scalar(b, plan, inverse);  // no len-4 stage to vectorise
     return;
   }
   const auto blk = [b](std::size_t p) { return b + kBlock * p; };
   const __m256 neg = _mm256_set1_ps(-0.0f);
 
-  // Stage len=2 (w = 1): u + v and u + (-v), as the row kernel's sign xor.
+  // Stage len=2 (w = 1): u + v and u + (-v), the subtraction as a sign xor.
   for (std::size_t p = 0; p < n; p += 2) {
     const Split u = load(blk(p)), v = load(blk(p + 1));
     store(blk(p), add(u, v));
     store(blk(p + 1), add(u, flip(v, neg)));
   }
 
-  // Stage len=4: twiddles (1,0) and (0,-+1) exactly as the row kernel's wvec.
+  // Stage len=4: full products with the twiddles (1,0) and (0,-+1). A
+  // shortcut (v itself, or v times -+i as a swap) would differ in the sign
+  // of zeros.
   {
     const __m256 one = _mm256_set1_ps(1.0f), zero = _mm256_setzero_ps();
     const __m256 w1im = _mm256_set1_ps(inverse ? 1.0f : -1.0f);
@@ -134,8 +124,7 @@ void lanes_cmul_avx2(const float* a, const float* b, float* out, std::size_t cou
 
 void lanes_cmul_conj_real_avx2(const float* x, const float* a, float* out,
                                std::size_t count) {
-  // x * conj(a): the interleaved kernel multiplies x by (ar, -ai), the sign
-  // flipped with an xor.
+  // x * conj(a): x times (ar, -ai), the sign flipped with an xor.
   const __m256 neg = _mm256_set1_ps(-0.0f);
   for (std::size_t i = 0; i < count; ++i, x += kLanes, a += kBlock, out += kBlock) {
     const __m256 xv = _mm256_loadu_ps(x);

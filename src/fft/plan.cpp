@@ -20,17 +20,15 @@ FftPlan::FftPlan(std::size_t n_) : n(n_) {
     j ^= bit;
     bitrev[i] = static_cast<std::uint32_t>(j);
   }
-  twiddle.resize(n / 2);
-  for (std::size_t j = 0; j < n / 2; ++j) {
-    const double ang = -2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
-    twiddle[j] = {static_cast<float>(std::cos(ang)), static_cast<float>(std::sin(ang))};
-  }
   if (n > 1) {
     stage_twiddle.resize(n - 1);
     for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t half = len / 2, step = n / len;
-      for (std::size_t k = 0; k < half; ++k)
-        stage_twiddle[half - 1 + k] = twiddle[k * step];
+      const std::size_t half = len / 2;
+      for (std::size_t k = 0; k < half; ++k) {
+        const double ang = -2.0 * M_PI * static_cast<double>(k) / static_cast<double>(len);
+        stage_twiddle[half - 1 + k] = {static_cast<float>(std::cos(ang)),
+                                       static_cast<float>(std::sin(ang))};
+      }
     }
   }
 }

@@ -25,14 +25,12 @@ struct FftPlan {
   std::size_t n = 0;
   /// Bit-reversal permutation: element i swaps with bitrev[i].
   std::vector<std::uint32_t> bitrev;
-  /// Forward twiddles tw[j] = exp(-2*pi*i*j/n) for j < n/2; a stage of
-  /// length `len` uses tw[k * (n/len)]. The inverse transform conjugates.
-  std::vector<cfloat> twiddle;
-  /// The same twiddles regrouped contiguously per butterfly stage so the
-  /// vectorized kernels load them with unit stride: the stage of length
-  /// `len` owns the half = len/2 entries starting at offset len/2 - 1
-  /// (stage halves 1, 2, 4, ... sum to a closed-form prefix), with
-  /// stage_twiddle[len/2 - 1 + k] == twiddle[k * (n/len)]. Total size n - 1.
+  /// Forward twiddles grouped contiguously per butterfly stage, so every
+  /// stage loads them with unit stride: the stage of length `len` owns the
+  /// half = len/2 entries starting at offset len/2 - 1 (stage halves 1, 2,
+  /// 4, ... sum to a closed-form prefix), with stage_twiddle[len/2 - 1 + k]
+  /// = exp(-2*pi*i*k/len) rounded to float. Total size n - 1. The inverse
+  /// transform conjugates.
   std::vector<cfloat> stage_twiddle;
 
   explicit FftPlan(std::size_t n);

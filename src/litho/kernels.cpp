@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "fft/fft.hpp"
@@ -38,23 +37,6 @@ std::vector<std::size_t> mirror(const std::vector<std::size_t>& idx, std::size_t
   return out;
 }
 
-// Flipped kernel: value at (-f) mod N per axis. Only the mirrors of `rows`
-// are copied, so every other row of `hat` must be zero. With `live`, each
-// nonzero bin read from `hat` is marked there.
-std::vector<cfloat> flip_freq(const std::vector<cfloat>& hat, std::size_t grid,
-                              const std::vector<std::size_t>& rows, SupportFlags* live) {
-  std::vector<cfloat> flipped(hat.size());
-  for (const std::size_t r : rows) {
-    const cfloat* src = hat.data() + r * grid;
-    cfloat* dst = flipped.data() + ((grid - r) % grid) * grid;
-    for (std::size_t c = 0; c < grid; ++c) {
-      dst[(grid - c) % grid] = src[c];
-      if (live != nullptr && src[c] != cfloat{}) live->mark(r, c);
-    }
-  }
-  return flipped;
-}
-
 }  // namespace
 
 void SocsKernels::validate_geometry() const {
@@ -77,9 +59,8 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
   GANOPC_CHECK_MSG(!set.kernels_hat.empty() &&
                        set.kernels_hat.size() == set.weights.size(),
                    "kernel set must carry one weight per kernel");
-  const std::size_t npx = static_cast<std::size_t>(grid_) * grid_;
-  std::vector<std::size_t> all_rows(static_cast<std::size_t>(grid_));
-  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
+  const auto un = static_cast<std::size_t>(grid_);
+  const std::size_t npx = un * un;
   for (std::size_t k = 0; k < set.kernels_hat.size(); ++k) {
     GANOPC_CHECK_MSG(set.kernels_hat[k].size() == npx,
                      "kernel " << k << " is not on the " << grid_ << "x" << grid_
@@ -88,11 +69,12 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
                      "kernel weights must be finite and nonnegative");
     GANOPC_CHECK_MSG(k == 0 || set.weights[k] <= set.weights[k - 1],
                      "kernel weights must be nonincreasing");
-    // The flip visits every bin, so it records the support on the way.
-    SupportFlags live(all_rows.size());
-    auto flipped = flip_freq(set.kernels_hat[k], all_rows.size(), all_rows, &live);
-    push_kernel(std::move(set.kernels_hat[k]), std::move(flipped), live.collect(),
-                set.weights[k]);
+    SupportFlags live(un);
+    const std::vector<cfloat>& hat = set.kernels_hat[k];
+    for (std::size_t r = 0; r < un; ++r)
+      for (std::size_t c = 0; c < un; ++c)
+        if (hat[r * un + c] != cfloat{}) live.mark(r, c);
+    push_kernel(std::move(set.kernels_hat[k]), live.collect(), set.weights[k]);
   }
   GANOPC_CHECK_MSG(std::isfinite(set.captured_energy) &&
                        set.captured_energy >= 0.0 && set.captured_energy <= 1.0 + 1e-9,
@@ -112,7 +94,6 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
   const double lambda = config.wavelength_nm;
 
   freq_kernels_.reserve(points.size());
-  freq_kernels_flipped_.reserve(points.size());
   supports_.reserve(points.size());
   supports_flipped_.reserve(points.size());
   weights_.reserve(points.size());
@@ -152,29 +133,20 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
         if (bin != cfloat{}) live.mark(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
       }
     }
-    Support support = live.collect();
-    auto flipped = flip_freq(hat, un, support.rows, nullptr);
-    push_kernel(std::move(hat), std::move(flipped), std::move(support),
-                static_cast<float>(p.weight));
+    push_kernel(std::move(hat), live.collect(), static_cast<float>(p.weight));
   }
 }
 
-void SocsKernels::push_kernel(std::vector<cfloat> hat, std::vector<cfloat> flipped,
-                              Support support, float weight) {
+void SocsKernels::push_kernel(std::vector<cfloat> hat, Support support, float weight) {
   const auto n = static_cast<std::size_t>(grid_);
   supports_flipped_.push_back({mirror(support.rows, n), mirror(support.cols, n)});
   supports_.push_back(std::move(support));
-  freq_kernels_flipped_.push_back(std::move(flipped));
   freq_kernels_.push_back(std::move(hat));
   weights_.push_back(weight);
 }
 
 const std::vector<std::complex<float>>& SocsKernels::freq_kernel(int k) const {
   return freq_kernels_.at(static_cast<std::size_t>(k));
-}
-
-const std::vector<std::complex<float>>& SocsKernels::freq_kernel_flipped(int k) const {
-  return freq_kernels_flipped_.at(static_cast<std::size_t>(k));
 }
 
 std::vector<std::complex<float>> SocsKernels::spatial_kernel(int k) const {

@@ -5,9 +5,9 @@
 // multiplies, and num_kernels inverse FFTs:
 //   A_k = IFFT( H_k_hat .* FFT(M) ),   I = sum_k w_k |A_k|^2.
 // Each H_k_hat is a pupil disk shifted by its Abbe source point, with an
-// optional paraxial defocus phase. Flipped kernels H_k_hat(-f) are
-// precomputed for the ILT gradient (Eq. 14), and each kernel records the
-// rows and columns its disk touches.
+// optional paraxial defocus phase. Each kernel records the rows and columns
+// its disk touches, and their mirrors: the support of the flipped kernel
+// H_k_hat(-f) that the ILT gradient (Eq. 14) reads from H_k_hat in place.
 #pragma once
 
 #include <complex>
@@ -27,8 +27,8 @@ class SocsKernels {
 
   /// Adopt a prebuilt kernel set (e.g. truncated TCC eigen-kernels from a
   /// litho backend). The set's weights must be nonincreasing and finite; the
-  /// flipped kernels for the adjoint pass are derived here so every consumer
-  /// of the hot paths sees the same invariants as the Abbe constructor.
+  /// supports for both SOCS passes are scanned here so every consumer of the
+  /// hot paths sees the same invariants as the Abbe constructor.
   SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
               std::int32_t pixel_nm, TccKernelSet set);
 
@@ -47,10 +47,6 @@ class SocsKernels {
   /// Frequency-domain kernel k (grid*grid complex values, unshifted layout).
   const std::vector<std::complex<float>>& freq_kernel(int k) const;
 
-  /// Frequency-domain kernel evaluated at negated frequencies,
-  /// H_k_hat[(-f) mod N] — the transfer function of the flipped kernel.
-  const std::vector<std::complex<float>>& freq_kernel_flipped(int k) const;
-
   float weight(int k) const { return weights_.at(static_cast<std::size_t>(k)); }
 
   /// The rows and columns of a kernel spectrum that hold a nonzero bin, each
@@ -64,7 +60,8 @@ class SocsKernels {
   /// Support of freq_kernel(k), read from its data.
   const Support& support(int k) const { return supports_.at(static_cast<std::size_t>(k)); }
 
-  /// Support of freq_kernel_flipped(k): the mirror (N - i) mod N of support(k).
+  /// Support of the flipped kernel H_k_hat[(-f) mod N], the transfer
+  /// function of h_k(-x): the mirror (N - i) mod N of support(k), ascending.
   const Support& support_flipped(int k) const {
     return supports_flipped_.at(static_cast<std::size_t>(k));
   }
@@ -75,8 +72,7 @@ class SocsKernels {
 
  private:
   void validate_geometry() const;
-  void push_kernel(std::vector<std::complex<float>> hat,
-                   std::vector<std::complex<float>> flipped, Support support, float weight);
+  void push_kernel(std::vector<std::complex<float>> hat, Support support, float weight);
 
   OpticsConfig config_;
   std::int32_t grid_;
@@ -84,7 +80,6 @@ class SocsKernels {
   double captured_energy_ = 1.0;
   std::vector<float> weights_;
   std::vector<std::vector<std::complex<float>>> freq_kernels_;
-  std::vector<std::vector<std::complex<float>>> freq_kernels_flipped_;
   std::vector<Support> supports_;
   std::vector<Support> supports_flipped_;
 };

@@ -40,11 +40,9 @@ void reshape_like(geom::Grid& g, std::int32_t n, std::int32_t pixel_nm,
 //            owned by one thread, every kernel in ascending order, each
 //            group's result folded into that group's accumulator at once.
 // Slabs only partition pixels and each pixel sums dose-major, then k
-// ascending, in double, so every thread count produces the same bytes. The
-// butterflies and element-wise products are those of the interleaved
-// kernels lane by lane; values that the band limits skip are exact zeros,
-// which can change no nonzero value and never reach the accumulators as a
-// sign.
+// ascending, in double, so every thread count produces the same bytes.
+// Values that the band limits skip are exact zeros, which can change no
+// nonzero value and never reach the accumulators as a sign.
 
 using fft::kBlock;
 using fft::kLanes;
@@ -62,12 +60,13 @@ constexpr std::size_t kSupportSlot = 3;  ///< adjoint row-pass output at the sup
 /// `rows` and columns `cols` of an n x n spectrum, 8 rows per batch; every
 /// other bin enters as an exact zero. `load_a(batch, a)` writes operand a of
 /// the rows `batch` (up to 8 of `rows`) at the listed columns as blocks;
-/// `hat` is the full interleaved kernel spectrum. Row i lands in row i of
-/// `out`.
+/// `hat` is the full interleaved kernel spectrum H, read as H(-f) when
+/// `negated`. Row i lands in row i of `out`.
 template <typename LoadA>
 void support_rows_inverse(std::span<const std::size_t> rows, std::span<const std::size_t> cols,
-                          const cfloat* hat, LoadA load_a, const fft::FftPlan& plan,
-                          const fft::LaneOps& ops, const SplitGrid& out) {
+                          const cfloat* hat, bool negated, LoadA load_a,
+                          const fft::FftPlan& plan, const fft::LaneOps& ops,
+                          const SplitGrid& out) {
   const std::size_t n = plan.n, nc = cols.size();
   float* blocks = lane_scratch(kBlock * n, kBatchSlot);
   float* a = lane_scratch(kBlock * nc, kOperandA);
@@ -76,7 +75,7 @@ void support_rows_inverse(std::span<const std::size_t> rows, std::span<const std
     const std::size_t lanes = std::min(kLanes, rows.size() - i0);
     const auto batch = rows.subspan(i0, lanes);
     load_a(batch, a);
-    fft::load_rows(hat, n, batch, cols, b);
+    fft::load_rows(hat, n, batch, cols, b, negated);
     ops.cmul(a, b, a, nc);
     fft::spread_blocks(a, kBlock, cols, plan, blocks);
     ops.fft(blocks, plan, /*inverse=*/true);
@@ -160,7 +159,7 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
     const auto& sup = kernels.support(static_cast<int>(k));
     const cfloat* mask_hat = ws.mask_hat.data();
     support_rows_inverse(
-        sup.rows, sup.cols, kernels.freq_kernel(static_cast<int>(k)).data(),
+        sup.rows, sup.cols, kernels.freq_kernel(static_cast<int>(k)).data(), /*negated=*/false,
         [&](std::span<const std::size_t> batch, float* a) {
           fft::load_rows(mask_hat, un, batch, sup.cols, a);
         },
@@ -396,7 +395,8 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
       // Product with H_k_hat(-f) on the support rows, inverse rows.
       const SplitGrid columns{support, kBlock, un * kBlock};
       support_rows_inverse(
-          sup.rows, sup.cols, kernels_.freq_kernel_flipped(static_cast<int>(k)).data(),
+          sup.rows, sup.cols, kernels_.freq_kernel(static_cast<int>(k)).data(),
+          /*negated=*/true,
           [&](std::span<const std::size_t> batch, float* a) {
             fft::load_rows(columns, batch, nc, a);
           },

@@ -11,9 +11,10 @@
 //
 // Bytes at 256 px with 24 kernels (DESIGN.md §7): the gradient keeps the
 // N_h fields (12.6 MB) plus compact support rows (~1.5 MB) and one n^2
-// accumulator; the per-kernel n^2 adjoint buffers of the earlier layout
-// (another 12.6 MB) are gone. An aerial-only call holds no fields at all.
-// The transforms' own batch buffers are per thread (fft::lane_scratch).
+// accumulator. An aerial-only call holds no fields at all. The transforms'
+// own batch buffers are per thread (fft::lane_scratch), and the kernel
+// spectra belong to SocsKernels, one per kernel: the adjoint reads the
+// flipped spectrum H(-f) from it in place.
 //
 // A workspace is NOT thread-safe: it belongs to one simulation call at a
 // time. Each thread owns one (`thread_workspace`): the convenience wrappers

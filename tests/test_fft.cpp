@@ -31,15 +31,18 @@ TEST(FftUtil, NextPow2) {
   EXPECT_EQ(next_pow2(1000), 1024u);
 }
 
+// A 1-D transform is a one-row 2-D transform: the Fft1d and FftRoundTrip
+// cases run fft_2d on 1 x n grids.
+
 TEST(Fft1d, RejectsNonPow2) {
   std::vector<cfloat> data(3);
-  EXPECT_THROW(fft_1d(data, false), Error);
+  EXPECT_THROW(fft_2d(data, 1, 3, false), Error);
 }
 
 TEST(Fft1d, DeltaTransformsToConstant) {
   std::vector<cfloat> data(8, {0, 0});
   data[0] = {1, 0};
-  fft_1d(data, false);
+  fft_2d(data, 1, data.size(), false);
   for (const auto& v : data) {
     EXPECT_NEAR(v.real(), 1.0f, 1e-5f);
     EXPECT_NEAR(v.imag(), 0.0f, 1e-5f);
@@ -54,7 +57,7 @@ TEST(Fft1d, SingleToneLandsInOneBin) {
     const double ph = 2.0 * M_PI * k * static_cast<double>(i) / static_cast<double>(n);
     data[i] = {static_cast<float>(std::cos(ph)), static_cast<float>(std::sin(ph))};
   }
-  fft_1d(data, false);
+  fft_2d(data, 1, data.size(), false);
   for (std::size_t i = 0; i < n; ++i) {
     const float mag = std::abs(data[i]);
     if (i == static_cast<std::size_t>(k)) {
@@ -74,8 +77,8 @@ TEST_P(FftRoundTrip, InverseRecoversInput1d) {
   for (auto& v : data)
     v = {static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1))};
   orig = data;
-  fft_1d(data, false);
-  fft_1d(data, true);
+  fft_2d(data, 1, data.size(), false);
+  fft_2d(data, 1, data.size(), true);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(data[i].real(), orig[i].real(), 1e-4f);
     EXPECT_NEAR(data[i].imag(), orig[i].imag(), 1e-4f);
@@ -93,7 +96,7 @@ TEST(Fft1d, ParsevalHolds) {
     v = {static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1))};
   double time_energy = 0.0;
   for (const auto& v : data) time_energy += std::norm(v);
-  fft_1d(data, false);
+  fft_2d(data, 1, data.size(), false);
   double freq_energy = 0.0;
   for (const auto& v : data) freq_energy += std::norm(v);
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-3);
@@ -159,13 +162,26 @@ TEST(Fft2d, FftShiftIsInvolution) {
     EXPECT_EQ(data[i].real(), orig[i].real());
 }
 
+/// Circular 2-D convolution of two real grids through the spectra:
+/// irfft_2d(rfft_2d(a) .* rfft_2d(b)).
+std::vector<float> circular_convolve(const std::vector<float>& a, const std::vector<float>& b,
+                                     std::size_t h, std::size_t w) {
+  std::vector<cfloat> fa(h * w), fb(h * w);
+  rfft_2d(a.data(), fa.data(), h, w);
+  rfft_2d(b.data(), fb.data(), h, w);
+  for (std::size_t i = 0; i < fa.size(); ++i) fa[i] *= fb[i];
+  std::vector<float> out(h * w);
+  irfft_2d(fa.data(), out.data(), h, w);
+  return out;
+}
+
 TEST(Convolve, MatchesBruteForceCircular) {
   const std::size_t h = 8, w = 8;
   Prng rng(13);
   std::vector<float> a(h * w), b(h * w);
   for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
   for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-  const auto out = circular_convolve_2d(a, b, h, w);
+  const auto out = circular_convolve(a, b, h, w);
   for (std::size_t pr = 0; pr < h; ++pr)
     for (std::size_t pc = 0; pc < w; ++pc) {
       double acc = 0.0;
@@ -203,6 +219,14 @@ TEST(FourierUpsample, FactorOneIsIdentity) {
   EXPECT_EQ(fft::fourier_upsample_2d(in, 2, 2, 1), in);
 }
 
+TEST(FourierUpsample, RejectsOneRowAndOneColumnGrids) {
+  // A one-row or one-column grid has no Nyquist line to split between its
+  // images; the mirror write would land past the end of the output.
+  const std::vector<float> ones(8, 1.0f);
+  EXPECT_THROW(fft::fourier_upsample_2d(ones, 1, 8, 2), Error);
+  EXPECT_THROW(fft::fourier_upsample_2d(ones, 8, 1, 2), Error);
+}
+
 TEST(FourierUpsample, PreservesMean) {
   Prng rng(8);
   const std::size_t n = 8;
@@ -221,7 +245,7 @@ TEST(Convolve, DeltaIsIdentity) {
   std::vector<float> a(n * n), delta(n * n, 0.0f);
   for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
   delta[0] = 1.0f;
-  const auto out = circular_convolve_2d(a, delta, n, n);
+  const auto out = circular_convolve(a, delta, n, n);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_NEAR(out[i], a[i], 1e-4f);
 }
 

@@ -208,39 +208,27 @@ TEST(IltKernelConformance, ArmsAreRunToRunDeterministic) {
 // FFT butterfly kernel and element-wise spectrum ops
 // ---------------------------------------------------------------------------
 
-TEST(FftKernelConformance, FftInplaceMatchesScalar) {
+/// n-point split-complex blocks holding kLanes random signals.
+std::vector<float> random_blocks(Prng& rng, std::size_t n) {
+  return random_floats(rng, fft::kBlock * n, -1.0f, 1.0f);
+}
+
+TEST(FftKernelConformance, FftLanes8MatchesScalar) {
   SKIP_WITHOUT_AVX2();
-  const auto sc = fft::fft_inplace_for(SimdLevel::kScalar);
-  const auto vx = fft::fft_inplace_for(SimdLevel::kAvx2);
+  const fft::FftLanes8Fn sc = fft::lane_ops(SimdLevel::kScalar).fft;
+  const fft::FftLanes8Fn vx = fft::lane_ops(SimdLevel::kAvx2).fft;
   Prng rng(201);
   for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 256u, 1024u}) {
     const fft::FftPlan& plan = fft::plan_for(n);
     for (const bool inverse : {false, true}) {
-      const std::vector<cfloat> x = random_complex(rng, n);
-      std::vector<cfloat> as = x, av = x;
-      sc(as.data(), plan, inverse);
-      vx(av.data(), plan, inverse);
-      const float scale = std::max(max_mag(as.data(), n), 1e-6f);
-      EXPECT_LE(max_abs_diff(as.data(), av.data(), n), 1e-5f * scale)
+      const std::vector<float> x = random_blocks(rng, n);
+      std::vector<float> bs = x, bv = x;
+      sc(bs.data(), plan, inverse);
+      vx(bv.data(), plan, inverse);
+      float scale = 1e-6f;
+      for (const float v : bs) scale = std::max(scale, std::abs(v));
+      EXPECT_LE(max_abs_diff(bs.data(), bv.data(), bs.size()), 1e-5f * scale)
           << "n=" << n << " inverse=" << inverse;
-    }
-  }
-}
-
-TEST(FftKernelConformance, VecOpsMatchScalar) {
-  SKIP_WITHOUT_AVX2();
-  const fft::VecOps& sc = fft::vec_ops(SimdLevel::kScalar);
-  const fft::VecOps& vx = fft::vec_ops(SimdLevel::kAvx2);
-  Prng rng(202);
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t off : kOffsets) {
-      const std::vector<cfloat> a = random_complex(rng, n + off);
-      const std::vector<cfloat> b = random_complex(rng, n + off);
-      std::vector<cfloat> os(n + off), ov(n + off);
-      sc.cmul(a.data() + off, b.data() + off, os.data() + off, n);
-      vx.cmul(a.data() + off, b.data() + off, ov.data() + off, n);
-      EXPECT_LE(max_abs_diff(os.data() + off, ov.data() + off, n), 1e-5f)
-          << "cmul n=" << n << " off=" << off;
     }
   }
 }
@@ -250,10 +238,10 @@ cfloat lane_of(const float* b, std::size_t j) { return {b[j], b[fft::kLanes + j]
 
 TEST(FftKernelConformance, LaneOpsAreBitwiseTheInterleavedArithmetic) {
   // Each split-block kernel must give every lane exactly the arithmetic of
-  // the interleaved kernel it replaced: std::complex expressions on the
-  // scalar arm; on the AVX2 arm the cmul4 decomposition (one rounded product
-  // inside an fma) and double-precision fma accumulation. The references
-  // spell those out with std::fma, which rounds once like the instructions.
+  // its arm on one interleaved complex value: std::complex expressions on
+  // the scalar arm; on the AVX2 arm one rounded product inside an fma and
+  // double-precision fma accumulation. The references spell those out with
+  // std::fma, which rounds once like the instructions.
   Prng rng(209);
   const std::size_t kB = fft::kBlock, kL = fft::kLanes;
   for (const SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
@@ -368,21 +356,22 @@ TEST(FftKernelConformance, CrossArmRealFftMatches) {
 
 TEST(FftKernelConformance, ArmsAreRunToRunDeterministic) {
   Prng rng(205);
-  std::vector<fft::FftInplaceFn> arms = {fft::fft_inplace_for(SimdLevel::kScalar)};
-  if (have_avx2()) arms.push_back(fft::fft_inplace_for(SimdLevel::kAvx2));
+  std::vector<fft::FftLanes8Fn> arms = {fft::lane_ops(SimdLevel::kScalar).fft};
+  if (have_avx2()) arms.push_back(fft::lane_ops(SimdLevel::kAvx2).fft);
   const std::size_t n = 512;
   const fft::FftPlan& plan = fft::plan_for(n);
-  const std::vector<cfloat> x = random_complex(rng, n);
+  const std::vector<float> x = random_blocks(rng, n);
   for (const auto fn : arms) {
-    std::vector<cfloat> a1 = x, a2 = x;
-    fn(a1.data(), plan, false);
-    fn(a2.data(), plan, false);
-    EXPECT_EQ(0, std::memcmp(a1.data(), a2.data(), n * sizeof(cfloat)));
+    std::vector<float> b1 = x, b2 = x;
+    fn(b1.data(), plan, false);
+    fn(b2.data(), plan, false);
+    EXPECT_EQ(0, std::memcmp(b1.data(), b2.data(), x.size() * sizeof(float)));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Split-complex batch kernel: fft_lanes8 lane by lane against fft_inplace
+// Split-complex batch kernel: fft_lanes8 lane by lane against one-signal
+// references
 // ---------------------------------------------------------------------------
 
 /// The dispatch arms present on this machine.
@@ -392,18 +381,76 @@ std::vector<SimdLevel> present_arms() {
   return arms;
 }
 
+/// The AVX2 arm's per-lane arithmetic on one interleaved signal, spelled
+/// with std::fma (which rounds once, like the fused instructions): the
+/// len-2 stage adds u + v and u + (-v), the len-4 stage multiplies by the
+/// literal twiddles (1,0) and (0,-+1), the general stages by the per-stage
+/// twiddles, each product v*w as (fma(vr, wr, -vi*wi), fma(vr, wi, vi*wr)),
+/// and the inverse scales by 1/n. Below 4 points that arm runs the scalar
+/// kernel.
+void fft_fma_reference(cfloat* a, const fft::FftPlan& plan, bool inverse) {
+  const std::size_t n = plan.n;
+  if (n < 4) {
+    fft::fft_inplace_scalar(a, plan, inverse);
+    return;
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t j = plan.bitrev[i];
+    if (i < j) std::swap(a[i], a[j]);
+  }
+  const auto mul = [](cfloat v, float wr, float wi) {
+    return cfloat(std::fma(v.real(), wr, -(v.imag() * wi)),
+                  std::fma(v.real(), wi, v.imag() * wr));
+  };
+  for (std::size_t p = 0; p < n; p += 2) {
+    const cfloat u = a[p], v = a[p + 1];
+    a[p] = u + v;
+    a[p + 1] = u + (-v);
+  }
+  const float w1im = inverse ? 1.0f : -1.0f;
+  for (std::size_t p = 0; p < n; p += 4) {
+    const cfloat a0 = a[p], a1 = a[p + 1];
+    const cfloat v0 = mul(a[p + 2], 1.0f, 0.0f), v1 = mul(a[p + 3], 0.0f, w1im);
+    a[p] = a0 + v0;
+    a[p + 1] = a1 + v1;
+    a[p + 2] = a0 + (-v0);
+    a[p + 3] = a1 + (-v1);
+  }
+  for (std::size_t len = 8; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const cfloat* tw = plan.stage_twiddle.data() + (half - 1);
+    for (std::size_t i = 0; i < n; i += len)
+      for (std::size_t k = 0; k < half; ++k) {
+        const float wi = inverse ? -tw[k].imag() : tw[k].imag();
+        const cfloat u = a[i + k], v = mul(a[i + k + half], tw[k].real(), wi);
+        a[i + k] = u + v;
+        a[i + k + half] = u - v;
+      }
+  }
+  if (inverse) {
+    const float inv_n = 1.0f / static_cast<float>(n);
+    for (std::size_t i = 0; i < n; ++i) a[i] = {a[i].real() * inv_n, a[i].imag() * inv_n};
+  }
+}
+
+using ReferenceFn = void (*)(cfloat* a, const fft::FftPlan& plan, bool inverse);
+
+/// The one-signal transform each lane of `lvl`'s fft_lanes8 must equal.
+ReferenceFn reference_fft(SimdLevel lvl) {
+  return lvl == SimdLevel::kAvx2 ? fft_fma_reference : fft::fft_inplace_scalar;
+}
+
 /// Line `i` of a grid (row i when `rows`, else column i) run through
-/// `row_kernel`.
-std::vector<cfloat> reference_line(fft::FftInplaceFn row_kernel, const cfloat* grid,
-                                   std::size_t n, std::size_t w, std::size_t i, bool rows,
-                                   bool inverse) {
+/// `reference`.
+std::vector<cfloat> reference_line(ReferenceFn reference, const cfloat* grid, std::size_t n,
+                                   std::size_t w, std::size_t i, bool rows, bool inverse) {
   std::vector<cfloat> line(n);
   for (std::size_t p = 0; p < n; ++p) line[p] = rows ? grid[i * n + p] : grid[p * w + i];
-  row_kernel(line.data(), fft::plan_for(n), inverse);
+  reference(line.data(), fft::plan_for(n), inverse);
   return line;
 }
 
-TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
+TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheReference) {
   // Lines of an n-point axis: `lines` = 13 columns of an n x 13 grid, or 13
   // rows of a 13 x n grid. Every lane count 1..8, adjacent and spread lines.
   const std::size_t lines = 13;
@@ -422,7 +469,7 @@ TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const SimdLevel lvl : present_arms()) {
     const fft::FftLanes8Fn lanes8 = fft::lane_ops(lvl).fft;
-    const fft::FftInplaceFn row_kernel = fft::fft_inplace_for(lvl);
+    const ReferenceFn reference = reference_fft(lvl);
     Prng rng(207);
     for (std::size_t n = 1; n <= 1024; n *= 2) {
       const fft::FftPlan& plan = fft::plan_for(n);
@@ -439,11 +486,18 @@ TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
             std::vector<cfloat> buf = random_complex(rng, n * lines + off);
             cfloat* grid = buf.data() + off;
             // Exact zeros of both signs, which the butterflies must carry
-            // through exactly as the row kernel does.
-            for (std::size_t i = 0; i < n * lines; i += 7) grid[i] = {0.0f, -0.0f};
+            // through exactly as the reference does: sparse in every line,
+            // and in every third line all but every fifth point, so zeros
+            // meet zeros in every stage, as in a band-limited spectrum.
             const auto index = [&](std::size_t p, std::size_t i) {
               return rows ? i * n + p : p * lines + i;
             };
+            for (std::size_t i = 0; i < n * lines; i += 7) grid[i] = {0.0f, -0.0f};
+            for (std::size_t i = 0; i < lines; i += 3)
+              for (std::size_t p = 0; p < n; ++p)
+                if (p % 5 != 0)
+                  grid[index(p, i)] = {rng.uniform(0.0, 1.0) < 0.5 ? 0.0f : -0.0f,
+                                       rng.uniform(0.0, 1.0) < 0.5 ? 0.0f : -0.0f};
             const std::vector<cfloat> before = buf;
 
             fft::LaneGroup g;
@@ -459,7 +513,7 @@ TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
             for (std::size_t i = 0; i < lines; ++i) {
               const bool listed = std::find(sel.begin(), sel.end(), i) != sel.end();
               const std::vector<cfloat> ref =
-                  listed ? reference_line(row_kernel, before.data() + off, n, lines, i, rows,
+                  listed ? reference_line(reference, before.data() + off, n, lines, i, rows,
                                           inverse)
                          : std::vector<cfloat>();
               for (std::size_t p = 0; p < n; ++p) {
@@ -477,14 +531,14 @@ TEST(FftLanes8Conformance, EveryLaneIsBitwiseTheRowKernel) {
 
 TEST(FftLanes8Conformance, TwoDimensionalPassesAreBitwisePerLineTransforms) {
   // The 2-D passes end to end: batching, tail batches and thread chunking
-  // must not move a bit against one row-kernel transform per row, then per
+  // must not move a bit against one reference transform per row, then per
   // column. Power-of-two passes leave tail batches of 1, 2 and 4 lines; the
   // other tail sizes come from the SOCS support lists (BandLimitedFft below).
   const std::size_t dims[][2] = {{1, 16}, {8, 1}, {2, 8}, {16, 4}, {4, 2}, {32, 64}, {256, 32}};
   for (const SimdLevel lvl : present_arms()) {
     LevelGuard guard;
     set_simd_level(lvl);
-    const fft::FftInplaceFn row_kernel = fft::fft_inplace_for(lvl);
+    const ReferenceFn reference = reference_fft(lvl);
     for (const std::size_t threads : {1u, 3u}) {
       ThreadPool::reset(threads);
       Prng rng(208);
@@ -495,11 +549,11 @@ TEST(FftLanes8Conformance, TwoDimensionalPassesAreBitwisePerLineTransforms) {
         for (const bool inverse : {false, true}) {
           const std::vector<cfloat> x = random_complex(rng, npx);
           std::vector<cfloat> ref = x, got = x;
-          for (std::size_t r = 0; r < h; ++r) row_kernel(ref.data() + r * w, fft::plan_for(w), inverse);
+          for (std::size_t r = 0; r < h; ++r) reference(ref.data() + r * w, fft::plan_for(w), inverse);
           const std::vector<cfloat> rows_done = ref;
           for (std::size_t c = 0; c < w; ++c) {
             const std::vector<cfloat> col =
-                reference_line(row_kernel, rows_done.data(), h, w, c, false, inverse);
+                reference_line(reference, rows_done.data(), h, w, c, false, inverse);
             for (std::size_t r = 0; r < h; ++r) ref[r * w + c] = col[r];
           }
           fft::fft_2d(got.data(), h, w, inverse);
@@ -586,6 +640,14 @@ std::vector<cfloat> from_blocks(const std::vector<float>& b) {
   return v;
 }
 
+/// H(-f) of an n x n spectrum: bin (r, c) holds H at ((n - r) % n, (n - c) % n).
+std::vector<cfloat> negated_frequencies(const std::vector<cfloat>& hat, std::size_t n) {
+  std::vector<cfloat> out(n * n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) out[r * n + c] = hat[((n - r) % n) * n + (n - c) % n];
+  return out;
+}
+
 /// Eq. 2 and the Eq. 14 gradient the dense way, every transform a full
 /// fft_2d, with the same per-pixel arithmetic and summation order as the
 /// band-limited passes (the LaneOps kernels of the active arm). The skipped
@@ -606,13 +668,15 @@ DenseSocs dense_socs(const litho::SocsKernels& kernels, const geom::Grid& mask,
   fft::rfft_2d(mask.data.data(), mask_hat.data(), n, n);
   std::vector<std::vector<float>> fields;
   std::vector<double> acc(npx, 0.0);
+  const std::size_t blocks = npx / fft::kLanes;
   for (int k = 0; k < kernels.count(); ++k) {
-    std::vector<cfloat> a(npx);
-    fft::vec_ops().cmul(mask_hat.data(), kernels.freq_kernel(k).data(), a.data(), npx);
+    std::vector<float> product(2 * npx);
+    ops.cmul(to_blocks(mask_hat).data(), to_blocks(kernels.freq_kernel(k)).data(),
+             product.data(), blocks);
+    std::vector<cfloat> a = from_blocks(product);
     fft::fft_2d(a, n, n, /*inverse=*/true);
     fields.push_back(to_blocks(a));
-    ops.norm_weighted_accum(fields.back().data(), kernels.weight(k), acc.data(),
-                            npx / fft::kLanes);
+    ops.norm_weighted_accum(fields.back().data(), kernels.weight(k), acc.data(), blocks);
   }
   DenseSocs out;
   out.aerial.resize(npx);
@@ -627,13 +691,15 @@ DenseSocs dense_socs(const litho::SocsKernels& kernels, const geom::Grid& mask,
     }
     for (int k = 0; k < kernels.count(); ++k) {
       ops.cmul_conj_real(x.data(), fields[static_cast<std::size_t>(k)].data(), y.data(),
-                         npx / fft::kLanes);
+                         blocks);
       std::vector<cfloat> b = from_blocks(y);
       fft::fft_2d(b, n, n, /*inverse=*/false);
-      fft::vec_ops().cmul(b.data(), kernels.freq_kernel_flipped(k).data(), b.data(), npx);
+      std::vector<float> product = to_blocks(b);
+      ops.cmul(product.data(), to_blocks(negated_frequencies(kernels.freq_kernel(k), n)).data(),
+               product.data(), blocks);
+      b = from_blocks(product);
       fft::fft_2d(b, n, n, /*inverse=*/true);
-      ops.real_weighted_accum(to_blocks(b).data(), 2.0 * kernels.weight(k), acc.data(),
-                              npx / fft::kLanes);
+      ops.real_weighted_accum(to_blocks(b).data(), 2.0 * kernels.weight(k), acc.data(), blocks);
     }
   }
   out.gradient.resize(npx);
@@ -712,7 +778,7 @@ TEST(BandLimitedFft, KernelSupportMatchesBruteForceScan) {
     for (int k = 0; k < kernels.count(); ++k) {
       SCOPED_TRACE(::testing::Message() << "set " << s << " kernel " << k);
       const auto& hat = kernels.freq_kernel(k);
-      const auto& flipped = kernels.freq_kernel_flipped(k);
+      const auto flipped = negated_frequencies(hat, n);
       const auto& sup = kernels.support(k);
       const auto& sup_f = kernels.support_flipped(k);
       const auto scanned = scan_support(hat, n);
@@ -720,11 +786,8 @@ TEST(BandLimitedFft, KernelSupportMatchesBruteForceScan) {
       EXPECT_EQ(sup.cols, scanned.cols);
       EXPECT_FALSE(sup.rows.empty());
       EXPECT_LT(sup.rows.size(), n) << "a pupil disk never fills the grid";
-      // The flipped kernel is the full mirror H(-f), and its lists are the
-      // mirrors of the kernel's.
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-          ASSERT_EQ(flipped[r * n + c], hat[((n - r) % n) * n + (n - c) % n]);
+      // The flipped kernel's lists scan H(-f) and are the mirrors of the
+      // kernel's.
       const auto scanned_f = scan_support(flipped, n);
       EXPECT_EQ(sup_f.rows, scanned_f.rows);
       EXPECT_EQ(sup_f.cols, scanned_f.cols);

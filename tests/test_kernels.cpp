@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <complex>
+#include <vector>
 
 #include "common/error.hpp"
+#include "fft/fft.hpp"
 #include "litho/kernels.hpp"
 
 namespace ganopc::litho {
@@ -71,16 +73,35 @@ TEST(Kernels, WeightsMatchSource) {
 }
 
 TEST(Kernels, FlippedKernelIndexing) {
+  // The flipped kernel H(-f), built here by index from the stored spectrum,
+  // must be the transfer function of the mirrored PSF h(-x), and its nonzero
+  // rows and columns must be support_flipped().
   SocsKernels k(small_optics(4), 32, 16);
+  const std::size_t n = 32;
   for (int i = 0; i < k.count(); ++i) {
     const auto& hat = k.freq_kernel(i);
-    const auto& flip = k.freq_kernel_flipped(i);
-    for (std::int32_t r = 0; r < 32; ++r)
-      for (std::int32_t c = 0; c < 32; ++c) {
-        const std::int32_t nr = (32 - r) % 32, nc = (32 - c) % 32;
-        EXPECT_EQ(flip[static_cast<std::size_t>(r) * 32 + c],
-                  hat[static_cast<std::size_t>(nr) * 32 + nc]);
+    std::vector<std::complex<float>> flip(n * n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c)
+        flip[r * n + c] = hat[((n - r) % n) * n + (n - c) % n];
+    std::vector<std::complex<float>> psf = hat, psf_flip = flip;
+    fft::fft_2d(psf, n, n, /*inverse=*/true);
+    fft::fft_2d(psf_flip, n, n, /*inverse=*/true);
+    std::vector<char> row(n, 0), col(n, 0);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) {
+        const auto want = psf[((n - r) % n) * n + (n - c) % n];
+        EXPECT_NEAR(psf_flip[r * n + c].real(), want.real(), 1e-6f) << r << "," << c;
+        EXPECT_NEAR(psf_flip[r * n + c].imag(), want.imag(), 1e-6f) << r << "," << c;
+        if (flip[r * n + c] != std::complex<float>{}) row[r] = col[c] = 1;
       }
+    std::vector<std::size_t> rows, cols;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (row[j]) rows.push_back(j);
+      if (col[j]) cols.push_back(j);
+    }
+    EXPECT_EQ(k.support_flipped(i).rows, rows);
+    EXPECT_EQ(k.support_flipped(i).cols, cols);
   }
 }
 
