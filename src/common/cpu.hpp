@@ -1,18 +1,19 @@
 // Runtime CPU feature probe and SIMD dispatch level (DESIGN.md §12).
 //
-// The hot kernels (GEMM micro-kernel, FFT butterflies, fused ILT pixel pass)
-// ship two implementations: a portable scalar path and an AVX2+FMA path
-// compiled in dedicated translation units with -mavx2 -mfma. Which one runs
-// is a process-wide *dispatch level*, resolved exactly once from
+// The FFT lane kernels (the 8-lane butterflies and the SOCS element-wise ops,
+// fft/fft_kernels.hpp) ship two implementations: a portable scalar path and
+// an AVX2+FMA path compiled in one translation unit (fft/lanes8_avx2.cpp)
+// with -mavx2 -mfma. Which one runs is a process-wide *dispatch level*,
+// resolved exactly once from
 //
 //   GANOPC_SIMD = scalar | avx2 | auto   (unset == auto)
 //
 // crossed with a cpuid probe: `avx2` silently degrades to scalar on hardware
 // without AVX2+FMA (with a one-line warning) so a pinned env var can never
-// produce SIGILL. Every kernel family keeps its scalar implementation
-// compiled and callable regardless of the active level — the conformance
-// test tier differentially checks the two arms against each other in one
-// process via `set_simd_level`.
+// produce SIGILL. The scalar implementation stays compiled and callable
+// regardless of the active level — the conformance test tier differentially
+// checks the two arms against each other in one process via
+// `set_simd_level`.
 #pragma once
 
 namespace ganopc {

@@ -107,9 +107,6 @@ IltResult IltEngine::optimize(const geom::Grid& target,
   for (std::size_t i = 0; i < npx; ++i)
     p[i] = 2.0f * std::clamp(initial_mask.data[i], 0.0f, 1.0f) - 1.0f;
 
-  // The pixel passes (sigmoid relaxation, Eq. 14 chain rule, descent update)
-  // run through the dispatched fused kernels — one table lookup per solve.
-  const IltKernels& kern = ilt_kernels();
   geom::Grid mask_b(target.rows, target.cols, target.pixel_nm, target.origin_x,
                     target.origin_y);
   // `hard` is refreshed by every hard_l2() call, so the PVB evaluation and
@@ -141,7 +138,7 @@ IltResult IltEngine::optimize(const geom::Grid& target,
       obs::ledger_emit(rec);
     }
   };
-  kern.sigmoid_relax(p.data(), beta, mask_b.data.data(), npx);
+  sigmoid_relax(p.data(), beta, mask_b.data.data(), npx);
   // Checkpoint selection scores iterates by the same objective the gradient
   // descends: thresholded L2 plus (when enabled) the weighted smoothness
   // energy of the relaxed mask. Scoring by L2 alone would let a regularized
@@ -199,8 +196,8 @@ IltResult IltEngine::optimize(const geom::Grid& target,
     // reduction in one sweep (grad_p = dE/dP, max_abs for normalization).
     float max_abs = 0.0f;
     bool grad_finite = true;
-    kern.chain_rule(mask_b.data.data(), grad_mb.data.data(), beta, grad_p.data(), npx,
-                    &max_abs, &grad_finite);
+    chain_rule(mask_b.data.data(), grad_mb.data.data(), beta, grad_p.data(), npx,
+               &max_abs, &grad_finite);
     if (!grad_finite) {
       // A NaN/Inf anywhere in the step direction would silently corrupt P
       // (the max reduction does not propagate NaN) — abandon the step, keep
@@ -212,7 +209,7 @@ IltResult IltEngine::optimize(const geom::Grid& target,
         step_backoff * (max_abs > 0.0f ? config_.step_size / max_abs : config_.step_size);
     last_scale = scale;
     // Fused descent step + sigmoid refresh — the former two pixel sweeps.
-    kern.update_sigmoid(p.data(), grad_p.data(), scale, beta, mask_b.data.data(), npx);
+    update_sigmoid(p.data(), grad_p.data(), scale, beta, mask_b.data.data(), npx);
 
     if ((iter + 1) % config_.check_every == 0) {
       const double l2 = hard_l2();

@@ -5,15 +5,13 @@
 
 namespace ganopc::ilt {
 
-namespace {
-
-void sigmoid_relax_scalar(const float* p, float beta, float* mask_b, std::size_t n) {
+void sigmoid_relax(const float* p, float beta, float* mask_b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     mask_b[i] = 1.0f / (1.0f + std::exp(-beta * p[i]));
 }
 
-void chain_rule_scalar(const float* mask_b, const float* grad_mb, float beta,
-                       float* grad_p, std::size_t n, float* max_abs, bool* finite) {
+void chain_rule(const float* mask_b, const float* grad_mb, float beta, float* grad_p,
+                std::size_t n, float* max_abs, bool* finite) {
   float mx = 0.0f;
   bool ok = true;
   for (std::size_t i = 0; i < n; ++i) {
@@ -27,22 +25,13 @@ void chain_rule_scalar(const float* mask_b, const float* grad_mb, float beta,
   *finite = ok;
 }
 
-void update_sigmoid_scalar(float* p, const float* grad_p, float scale, float beta,
-                           float* mask_b, std::size_t n) {
+void update_sigmoid(float* p, const float* grad_p, float scale, float beta,
+                    float* mask_b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const float pn = p[i] - scale * grad_p[i];
     p[i] = pn;
     mask_b[i] = 1.0f / (1.0f + std::exp(-beta * pn));
   }
-}
-
-constexpr IltKernels kScalarKernels = {sigmoid_relax_scalar, chain_rule_scalar,
-                                       update_sigmoid_scalar};
-
-}  // namespace
-
-const IltKernels& ilt_kernels(SimdLevel level) {
-  return level == SimdLevel::kAvx2 ? ilt_kernels_avx2() : kScalarKernels;
 }
 
 }  // namespace ganopc::ilt

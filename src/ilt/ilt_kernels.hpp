@@ -1,4 +1,4 @@
-// Dispatched pixel-pass kernels of the ILT descent loop (DESIGN.md §12).
+// Pixel-pass kernels of the ILT descent loop (DESIGN.md §12).
 //
 // One descent iteration used to sweep the pixel arrays three times: chain
 // rule (dE/dM_b -> dE/dP) with max/finite reduction, the P update, and a
@@ -6,44 +6,29 @@
 // refresh into one pass (`update_sigmoid`) and keep the chain-rule sweep a
 // single fused pass (`chain_rule`), halving memory traffic per iteration.
 //
-// Arms: scalar (ilt_kernels.cpp, conformance reference, uses std::exp) and
-// AVX2+FMA (ilt_kernels_avx2.cpp, vectorized exp; relative error vs scalar
-// bounded by the exp approximation, checked by the conformance tier). Both
-// arms are deterministic: fixed order, and the max-reduction is over
-// fabs values so vector-lane regrouping cannot change the result.
+// Plain scalar loops with std::exp, in a fixed order, so every call is
+// bit-deterministic. They are not dispatched: a vector exp would move the
+// masks, so it is a separate change with its own pinned bytes.
 #pragma once
 
 #include <cstddef>
 
-#include "common/cpu.hpp"
-
 namespace ganopc::ilt {
 
-struct IltKernels {
-  /// mask_b[i] = sigmoid(beta * p[i]) — the Eq. 13 relaxation.
-  void (*sigmoid_relax)(const float* p, float beta, float* mask_b, std::size_t n);
+/// mask_b[i] = sigmoid(beta * p[i]) — the Eq. 13 relaxation.
+void sigmoid_relax(const float* p, float beta, float* mask_b, std::size_t n);
 
-  /// Chain rule of Eq. 14 through the relaxation:
-  ///   grad_p[i] = grad_mb[i] * beta * mask_b[i] * (1 - mask_b[i])
-  /// Returns max_i |grad_p[i]| and whether every entry was finite. A NaN
-  /// makes *finite false (the max value is then unspecified — callers must
-  /// abandon the step, matching the watchdog contract).
-  void (*chain_rule)(const float* mask_b, const float* grad_mb, float beta,
-                     float* grad_p, std::size_t n, float* max_abs, bool* finite);
+/// Chain rule of Eq. 14 through the relaxation:
+///   grad_p[i] = grad_mb[i] * beta * mask_b[i] * (1 - mask_b[i])
+/// Returns max_i |grad_p[i]| and whether every entry was finite. A NaN
+/// makes *finite false (the max value is then unspecified — callers must
+/// abandon the step, matching the watchdog contract).
+void chain_rule(const float* mask_b, const float* grad_mb, float beta, float* grad_p,
+                std::size_t n, float* max_abs, bool* finite);
 
-  /// Fused descent step + relaxation refresh:
-  ///   p[i] -= scale * grad_p[i];  mask_b[i] = sigmoid(beta * p[i])
-  void (*update_sigmoid)(float* p, const float* grad_p, float scale, float beta,
-                         float* mask_b, std::size_t n);
-};
-
-/// Kernel table for an explicit arm — the conformance tier's entry point.
-const IltKernels& ilt_kernels(SimdLevel level);
-
-/// The AVX2 table (forwards to scalar on non-x86 builds).
-const IltKernels& ilt_kernels_avx2();
-
-/// Table for the active process-wide level.
-inline const IltKernels& ilt_kernels() { return ilt_kernels(simd_level()); }
+/// Fused descent step + relaxation refresh:
+///   p[i] -= scale * grad_p[i];  mask_b[i] = sigmoid(beta * p[i])
+void update_sigmoid(float* p, const float* grad_p, float scale, float beta,
+                    float* mask_b, std::size_t n);
 
 }  // namespace ganopc::ilt

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/status.hpp"
+#include "litho/tcc.hpp"
 
 namespace ganopc::litho {
 
@@ -48,20 +49,13 @@ SocsKernels AbbeBackend::build(const OpticsConfig& optics, std::int32_t grid_siz
   return SocsKernels(optics, grid_size, pixel_nm);
 }
 
-TccBackend::TccBackend(int num_kernels, double min_captured_energy,
-                       TccOptions options)
-    : num_kernels_(num_kernels),
-      min_captured_energy_(min_captured_energy),
-      options_(std::move(options)) {
+TccBackend::TccBackend(int num_kernels, double min_captured_energy)
+    : num_kernels_(num_kernels), min_captured_energy_(min_captured_energy) {
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
                      std::isfinite(min_captured_energy_) &&
                          min_captured_energy_ >= 0.0 &&
                          min_captured_energy_ <= 1.0,
                      "tcc backend: captured-energy floor must be in [0, 1]");
-}
-
-std::string TccBackend::name() const {
-  return num_kernels_ <= 0 ? "tcc" : "tcc:" + std::to_string(num_kernels_);
 }
 
 SocsKernels TccBackend::build(const OpticsConfig& optics, std::int32_t grid_size,
@@ -72,9 +66,8 @@ SocsKernels TccBackend::build(const OpticsConfig& optics, std::int32_t grid_size
   // rediscretization: the full-rank eigenexpansion then reproduces the Abbe
   // reference image exactly, so truncation error — bounded by the discarded
   // trace 1 - captured_energy — is the only Abbe-vs-TCC difference.
-  TccOptions opts = options_;
-  if (opts.source_points.empty())
-    opts.source_points = sample_annular_source(optics, optics.num_kernels);
+  TccOptions opts;
+  opts.source_points = sample_annular_source(optics, optics.num_kernels);
   // The operator has rank <= #source points; solving for the full rank costs
   // one eigensolve and lets auto mode pick the smallest admissible
   // truncation from it.

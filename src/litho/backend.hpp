@@ -34,7 +34,6 @@
 
 #include "litho/kernels.hpp"
 #include "litho/optics.hpp"
-#include "litho/tcc.hpp"
 
 namespace ganopc::litho {
 
@@ -58,7 +57,6 @@ std::string litho_backend_name(const LithoBackendSpec& spec);
 class LithoBackend {
  public:
   virtual ~LithoBackend() = default;
-  virtual std::string name() const = 0;
   /// Build the SOCS kernel set for a grid_size x grid_size window at
   /// pixel_nm. Throws a typed Status on invalid optics/geometry or (TCC)
   /// when the captured-energy floor cannot be met.
@@ -69,7 +67,6 @@ class LithoBackend {
 /// The current source-point SOCS path — the reference imaging model.
 class AbbeBackend final : public LithoBackend {
  public:
-  std::string name() const override { return "abbe"; }
   SocsKernels build(const OpticsConfig& optics, std::int32_t grid_size,
                     std::int32_t pixel_nm) const override;
 };
@@ -78,17 +75,14 @@ class AbbeBackend final : public LithoBackend {
 class TccBackend final : public LithoBackend {
  public:
   /// `num_kernels <= 0` selects the smallest k meeting the energy floor.
-  explicit TccBackend(int num_kernels = 0, double min_captured_energy = 0.99,
-                      TccOptions options = {});
+  explicit TccBackend(int num_kernels = 0, double min_captured_energy = 0.99);
 
-  std::string name() const override;
   SocsKernels build(const OpticsConfig& optics, std::int32_t grid_size,
                     std::int32_t pixel_nm) const override;
 
  private:
   int num_kernels_;
   double min_captured_energy_;
-  TccOptions options_;
 };
 
 /// Factory from a parsed spec.

@@ -5,17 +5,18 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "nn/gemm_kernels.hpp"
 
 namespace ganopc::nn {
 
-// Scalar arm of the micro-kernel: computes rows [m0, m1) of C for
-// already-resolved op(A)/op(B) access patterns. B is pre-packed row-major
-// [k x n] so the innermost loop is a unit-stride AXPY over a C row. Also the
-// reference implementation the conformance tier diffs the AVX2 arm against.
-void gemm_rows_scalar(std::size_t m0, std::size_t m1, std::size_t n, std::size_t k,
-                      float alpha, const float* a, std::size_t lda, bool trans_a,
-                      const float* b_packed, float beta, float* c, std::size_t ldc) {
+namespace {
+
+// Micro-kernel: computes rows [m0, m1) of C = alpha * op(A) * B_packed +
+// beta * C. B is pre-packed row-major [k x n] so the innermost loop is a
+// unit-stride AXPY over a C row; op(A)[i][p] is a[p * lda + i] when trans_a
+// else a[i * lda + p].
+void gemm_rows(std::size_t m0, std::size_t m1, std::size_t n, std::size_t k,
+               float alpha, const float* a, std::size_t lda, bool trans_a,
+               const float* b_packed, float beta, float* c, std::size_t ldc) {
   for (std::size_t i = m0; i < m1; ++i) {
     float* crow = c + i * ldc;
     if (beta == 0.0f) {
@@ -32,9 +33,7 @@ void gemm_rows_scalar(std::size_t m0, std::size_t m1, std::size_t n, std::size_t
   }
 }
 
-GemmRowsFn gemm_rows_for(SimdLevel level) {
-  return level == SimdLevel::kAvx2 ? gemm_rows_avx2 : gemm_rows_scalar;
-}
+}  // namespace
 
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n, std::size_t k,
            float alpha, const float* a, std::size_t lda, const float* b, std::size_t ldb,
@@ -59,7 +58,6 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n, std::size_t
     b_packed = packed.data();
   }
 
-  const GemmRowsFn gemm_rows = gemm_rows_for(simd_level());
   const std::size_t flops = 2 * m * n * k;
   if (flops < (1u << 16)) {
     gemm_rows(0, m, n, k, alpha, a, lda, trans_a, b_packed, beta, c, ldc);

@@ -1,8 +1,10 @@
 // Single-precision GEMM used by convolution / linear layers.
 //
 // C[m x n] = alpha * op(A) * op(B) + beta * C, row-major storage.
-// Blocked over rows and parallelized with the shared thread pool; each output
-// row is owned by exactly one worker so results are deterministic.
+// op(B) is packed row-major once, then one scalar micro-kernel (not
+// dispatched by GANOPC_SIMD) sweeps C's rows, split across the shared thread
+// pool; each output row is owned by exactly one worker and accumulates over
+// k in a fixed order, so results are bit-deterministic.
 #pragma once
 
 #include <cstddef>

@@ -64,6 +64,37 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(17, 129, 31, false, true),
                       std::make_tuple(100, 100, 100, true, true)));
 
+TEST(Gemm, RandomShapesWithPaddedLeadingDimsMatchReference) {
+  Prng rng(301);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Small shapes with row/column/k remainders, both transposes, and
+    // leading dimensions padded past the logical width.
+    const auto m = static_cast<std::size_t>(rng.randint(1, 21));
+    const auto n = static_cast<std::size_t>(rng.randint(1, 37));
+    const auto k = static_cast<std::size_t>(rng.randint(1, 29));
+    const bool ta = rng.randint(0, 1) != 0;
+    const bool tb = rng.randint(0, 1) != 0;
+    const float alpha = trial % 3 == 0 ? 1.0f : 0.75f;
+    const float beta = trial % 2 == 0 ? 0.0f : 0.5f;
+    const std::size_t lda = (ta ? m : k) + static_cast<std::size_t>(rng.randint(0, 3));
+    const std::size_t ldb = (tb ? k : n) + static_cast<std::size_t>(rng.randint(0, 3));
+    const std::size_t ldc = n + static_cast<std::size_t>(rng.randint(0, 3));
+    const auto a = random_vec((ta ? k : m) * lda, rng);
+    const auto b = random_vec((tb ? n : k) * ldb, rng);
+    auto c = random_vec(m * ldc, rng);
+    // ref_gemm leaves the padding columns of C alone, so comparing all of C
+    // also checks that sgemm does not write past each row's n entries.
+    const auto expected = ref_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    sgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta, c.data(), ldc);
+    // Float accumulation against a double reference: k rounding steps.
+    const float tol = 1e-6f * static_cast<float>(k) + 1e-6f;
+    for (std::size_t i = 0; i < c.size(); ++i)
+      ASSERT_NEAR(c[i], expected[i], tol)
+          << "at " << i << " m=" << m << " n=" << n << " k=" << k << " tA=" << ta
+          << " tB=" << tb << " lda=" << lda << " ldb=" << ldb << " ldc=" << ldc;
+  }
+}
+
 TEST(Gemm, BetaZeroIgnoresGarbage) {
   // beta = 0 must overwrite even NaN-ish prior contents.
   std::vector<float> a{1, 2, 3, 4}, b{5, 6, 7, 8};

@@ -1,13 +1,14 @@
 // Differential kernel-conformance tier (DESIGN.md §12).
 //
-// Every AVX2+FMA kernel arm is checked against the scalar reference across
-// randomized shapes, buffer alignments (offset loads), and vector-tail sizes.
-// Error bounds follow from the arms' only legitimate divergence — FMA
-// contraction and the polynomial exp — so they are a few float ULPs relative
-// to the value scale, far below any physical tolerance in the pipeline. Each
-// arm is additionally asserted to be run-to-run deterministic (bitwise).
-// On machines without AVX2+FMA the AVX2 cases GTEST_SKIP: the scalar arm is
-// the reference and has nothing to differ from.
+// The AVX2+FMA arm of the FFT lane kernels is checked against the scalar
+// reference across randomized shapes, buffer alignments (offset loads), and
+// vector-tail sizes. Error bounds follow from the arms' only legitimate
+// divergence — FMA contraction — so they are a few float ULPs relative to
+// the value scale, far below any physical tolerance in the pipeline. Each
+// arm is additionally asserted to be run-to-run deterministic (bitwise), as
+// are the scalar ILT pixel passes. On machines without AVX2+FMA the AVX2
+// cases GTEST_SKIP: the scalar arm is the reference and has nothing to
+// differ from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +31,6 @@
 #include "ilt/ilt_kernels.hpp"
 #include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
-#include "nn/gemm.hpp"
 
 namespace ganopc {
 namespace {
@@ -48,9 +48,6 @@ struct LevelGuard {
   ~LevelGuard() { set_simd_level(saved); }
 };
 
-/// Sizes hitting every dispatch regime: sub-vector, one vector, vector plus
-/// every tail length, and multi-vector.
-const std::size_t kSizes[] = {1, 2, 3, 5, 7, 8, 9, 11, 15, 16, 17, 31, 33, 64, 100, 255, 1024};
 /// Start offsets into an over-allocated buffer so unaligned loads are hit.
 const std::size_t kOffsets[] = {0, 1, 3};
 
@@ -87,121 +84,40 @@ float max_mag(const cfloat* a, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// ILT pixel-pass kernels
+// ILT pixel-pass kernels (one scalar implementation, not dispatched)
 // ---------------------------------------------------------------------------
 
-TEST(IltKernelConformance, SigmoidRelaxMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  const ilt::IltKernels& sc = ilt::ilt_kernels(SimdLevel::kScalar);
-  const ilt::IltKernels& vx = ilt::ilt_kernels(SimdLevel::kAvx2);
-  Prng rng(101);
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t off : kOffsets) {
-      for (const float beta : {2.0f, 4.0f, 8.0f}) {
-        std::vector<float> p = random_floats(rng, n + off, -4.0f, 4.0f);
-        std::vector<float> ms(n + off, -1.0f), mv(n + off, -1.0f);
-        sc.sigmoid_relax(p.data() + off, beta, ms.data() + off, n);
-        vx.sigmoid_relax(p.data() + off, beta, mv.data() + off, n);
-        // Sigmoid is bounded in [0,1]; the poly-exp arm agrees to ~2 float ULPs.
-        EXPECT_LE(max_abs_diff(ms.data() + off, mv.data() + off, n), 2e-6f)
-            << "n=" << n << " off=" << off << " beta=" << beta;
-      }
-    }
-  }
-}
-
-TEST(IltKernelConformance, ChainRuleMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  const ilt::IltKernels& sc = ilt::ilt_kernels(SimdLevel::kScalar);
-  const ilt::IltKernels& vx = ilt::ilt_kernels(SimdLevel::kAvx2);
-  Prng rng(102);
-  const float beta = 4.0f;
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t off : kOffsets) {
-      std::vector<float> mb = random_floats(rng, n + off, 0.01f, 0.99f);
-      std::vector<float> gmb = random_floats(rng, n + off, -3.0f, 3.0f);
-      std::vector<float> gs(n + off), gv(n + off);
-      float mx_s = -1.0f, mx_v = -1.0f;
-      bool fin_s = false, fin_v = false;
-      sc.chain_rule(mb.data() + off, gmb.data() + off, beta, gs.data() + off, n,
-                    &mx_s, &fin_s);
-      vx.chain_rule(mb.data() + off, gmb.data() + off, beta, gv.data() + off, n,
-                    &mx_v, &fin_v);
-      EXPECT_TRUE(fin_s);
-      EXPECT_TRUE(fin_v);
-      const float scale = std::max(mx_s, 1e-6f);
-      EXPECT_LE(max_abs_diff(gs.data() + off, gv.data() + off, n), 1e-5f * scale)
-          << "n=" << n << " off=" << off;
-      EXPECT_NEAR(mx_s, mx_v, 1e-5f * scale);
-    }
-  }
-}
-
 TEST(IltKernelConformance, ChainRuleNonFiniteFlagAgrees) {
-  SKIP_WITHOUT_AVX2();
-  const ilt::IltKernels& sc = ilt::ilt_kernels(SimdLevel::kScalar);
-  const ilt::IltKernels& vx = ilt::ilt_kernels(SimdLevel::kAvx2);
   Prng rng(103);
   for (const std::size_t n : {1u, 7u, 8u, 9u, 17u, 64u}) {
-    // Poison every position in turn (vector body and scalar tail alike),
-    // with both Inf and NaN.
+    // Poison every position in turn, with both Inf and NaN: the flag must
+    // report it wherever it sits.
     for (std::size_t bad = 0; bad < n; ++bad) {
       for (const float poison : {std::numeric_limits<float>::infinity(),
                                  std::numeric_limits<float>::quiet_NaN()}) {
         std::vector<float> mb = random_floats(rng, n, 0.2f, 0.8f);
         std::vector<float> gmb = random_floats(rng, n, -1.0f, 1.0f);
         gmb[bad] = poison;
-        std::vector<float> gs(n), gv(n);
+        std::vector<float> g(n);
         float mx = 0.0f;
-        bool fin_s = true, fin_v = true;
-        sc.chain_rule(mb.data(), gmb.data(), 4.0f, gs.data(), n, &mx, &fin_s);
-        vx.chain_rule(mb.data(), gmb.data(), 4.0f, gv.data(), n, &mx, &fin_v);
-        EXPECT_FALSE(fin_s) << "n=" << n << " bad=" << bad;
-        EXPECT_FALSE(fin_v) << "n=" << n << " bad=" << bad;
+        bool finite = true;
+        ilt::chain_rule(mb.data(), gmb.data(), 4.0f, g.data(), n, &mx, &finite);
+        EXPECT_FALSE(finite) << "n=" << n << " bad=" << bad;
       }
-    }
-  }
-}
-
-TEST(IltKernelConformance, UpdateSigmoidMatchesScalar) {
-  SKIP_WITHOUT_AVX2();
-  const ilt::IltKernels& sc = ilt::ilt_kernels(SimdLevel::kScalar);
-  const ilt::IltKernels& vx = ilt::ilt_kernels(SimdLevel::kAvx2);
-  Prng rng(104);
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t off : kOffsets) {
-      std::vector<float> p0 = random_floats(rng, n + off, -2.0f, 2.0f);
-      std::vector<float> g = random_floats(rng, n + off, -1.0f, 1.0f);
-      std::vector<float> ps = p0, pv = p0;
-      std::vector<float> ms(n + off), mv(n + off);
-      const float scale = 0.37f, beta = 4.0f;
-      sc.update_sigmoid(ps.data() + off, g.data() + off, scale, beta,
-                        ms.data() + off, n);
-      vx.update_sigmoid(pv.data() + off, g.data() + off, scale, beta,
-                        mv.data() + off, n);
-      // p: one FMA vs two roundings — at most 1 ULP of the operand scale.
-      EXPECT_LE(max_abs_diff(ps.data() + off, pv.data() + off, n), 1e-6f * 3.0f)
-          << "n=" << n << " off=" << off;
-      EXPECT_LE(max_abs_diff(ms.data() + off, mv.data() + off, n), 2e-6f)
-          << "n=" << n << " off=" << off;
     }
   }
 }
 
 TEST(IltKernelConformance, ArmsAreRunToRunDeterministic) {
   Prng rng(105);
-  std::vector<const ilt::IltKernels*> arms = {&ilt::ilt_kernels(SimdLevel::kScalar)};
-  if (have_avx2()) arms.push_back(&ilt::ilt_kernels(SimdLevel::kAvx2));
-  for (const auto* kern : arms) {
-    const std::size_t n = 1000;
-    std::vector<float> p0 = random_floats(rng, n, -2.0f, 2.0f);
-    std::vector<float> g = random_floats(rng, n, -1.0f, 1.0f);
-    std::vector<float> p1 = p0, p2 = p0, m1(n), m2(n);
-    kern->update_sigmoid(p1.data(), g.data(), 0.25f, 4.0f, m1.data(), n);
-    kern->update_sigmoid(p2.data(), g.data(), 0.25f, 4.0f, m2.data(), n);
-    EXPECT_EQ(0, std::memcmp(p1.data(), p2.data(), n * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(m1.data(), m2.data(), n * sizeof(float)));
-  }
+  const std::size_t n = 1000;
+  std::vector<float> p0 = random_floats(rng, n, -2.0f, 2.0f);
+  std::vector<float> g = random_floats(rng, n, -1.0f, 1.0f);
+  std::vector<float> p1 = p0, p2 = p0, m1(n), m2(n);
+  ilt::update_sigmoid(p1.data(), g.data(), 0.25f, 4.0f, m1.data(), n);
+  ilt::update_sigmoid(p2.data(), g.data(), 0.25f, 4.0f, m2.data(), n);
+  EXPECT_EQ(0, std::memcmp(p1.data(), p2.data(), n * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(m1.data(), m2.data(), n * sizeof(float)));
 }
 
 // ---------------------------------------------------------------------------
@@ -211,6 +127,20 @@ TEST(IltKernelConformance, ArmsAreRunToRunDeterministic) {
 /// n-point split-complex blocks holding kLanes random signals.
 std::vector<float> random_blocks(Prng& rng, std::size_t n) {
   return random_floats(rng, fft::kBlock * n, -1.0f, 1.0f);
+}
+
+TEST(FftKernelConformance, Avx2ArmIsCompiledWithAvx2) {
+#if defined(__x86_64__) || defined(_M_X64)
+  SKIP_WITHOUT_AVX2();
+  // Built without -mavx2 -mfma, lanes8_avx2.cpp compiles only its #else
+  // forwarders and lane_ops_avx2() hands back the scalar table. Every
+  // differential case would then compare scalar with scalar and pass, so
+  // assert that the AVX2 arm is a table of its own.
+  EXPECT_NE(&fft::lane_ops(SimdLevel::kAvx2), &fft::lane_ops(SimdLevel::kScalar))
+      << "lanes8_avx2.cpp was built without its AVX2+FMA flags";
+#else
+  GTEST_SKIP() << "no AVX2 arm on this target";
+#endif
 }
 
 TEST(FftKernelConformance, FftLanes8MatchesScalar) {
@@ -802,64 +732,8 @@ TEST(BandLimitedFft, KernelSupportMatchesBruteForceScan) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM (differential through the public sgemm, which owns packing + dispatch)
-// ---------------------------------------------------------------------------
-
-TEST(GemmKernelConformance, SgemmMatchesScalarAcrossShapes) {
-  SKIP_WITHOUT_AVX2();
-  Prng rng(301);
-  LevelGuard guard;
-  for (int trial = 0; trial < 60; ++trial) {
-    // Shapes straddle the 4x16 register block: remainder rows, remainder
-    // columns, k tails, and padded leading dimensions.
-    const auto m = static_cast<std::size_t>(rng.randint(1, 21));
-    const auto n = static_cast<std::size_t>(rng.randint(1, 37));
-    const auto k = static_cast<std::size_t>(rng.randint(1, 29));
-    const bool trans_a = rng.randint(0, 1) != 0;
-    const bool trans_b = rng.randint(0, 1) != 0;
-    const float alpha = trial % 3 == 0 ? 1.0f : 0.75f;
-    const float beta = trial % 2 == 0 ? 0.0f : 0.5f;
-    const std::size_t lda = (trans_a ? m : k) + static_cast<std::size_t>(rng.randint(0, 3));
-    const std::size_t ldb = (trans_b ? k : n) + static_cast<std::size_t>(rng.randint(0, 3));
-    const std::size_t ldc = n + static_cast<std::size_t>(rng.randint(0, 3));
-    const std::vector<float> a = random_floats(rng, (trans_a ? k : m) * lda, -1.0f, 1.0f);
-    const std::vector<float> b = random_floats(rng, (trans_b ? n : k) * ldb, -1.0f, 1.0f);
-    const std::vector<float> c0 = random_floats(rng, m * ldc, -1.0f, 1.0f);
-
-    std::vector<float> cs = c0, cv = c0;
-    set_simd_level(SimdLevel::kScalar);
-    nn::sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
-              cs.data(), ldc);
-    set_simd_level(SimdLevel::kAvx2);
-    nn::sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
-              cv.data(), ldc);
-    // FMA + different accumulation association: bound by k rounding steps.
-    const float tol = 1e-6f * static_cast<float>(k) + 1e-6f;
-    EXPECT_LE(max_abs_diff(cs.data(), cv.data(), m * ldc), tol)
-        << "m=" << m << " n=" << n << " k=" << k << " tA=" << trans_a
-        << " tB=" << trans_b;
-  }
-}
-
-TEST(GemmKernelConformance, ArmsAreRunToRunDeterministic) {
-  Prng rng(302);
-  LevelGuard guard;
-  std::vector<SimdLevel> arms = {SimdLevel::kScalar};
-  if (have_avx2()) arms.push_back(SimdLevel::kAvx2);
-  const std::size_t m = 19, n = 35, k = 23;
-  const std::vector<float> a = random_floats(rng, m * k, -1.0f, 1.0f);
-  const std::vector<float> b = random_floats(rng, k * n, -1.0f, 1.0f);
-  for (const SimdLevel lvl : arms) {
-    set_simd_level(lvl);
-    std::vector<float> c1(m * n, 0.0f), c2(m * n, 0.0f);
-    nn::sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c1.data(), n);
-    nn::sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c2.data(), n);
-    EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(), m * n * sizeof(float)));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Fused ILT gradient pass: finite-difference check under each dispatch arm
+// (the pixel passes are scalar; the arm selects the litho gradient's FFTs)
 // ---------------------------------------------------------------------------
 
 TEST(IltFusedGradcheck, MatchesFiniteDifferencesPerArm) {
@@ -878,7 +752,6 @@ TEST(IltFusedGradcheck, MatchesFiniteDifferencesPerArm) {
     SCOPED_TRACE(simd_level_name(lvl));
     LevelGuard guard;
     set_simd_level(lvl);
-    const ilt::IltKernels& kern = ilt::ilt_kernels(lvl);
 
     // A smooth parameter point away from sigmoid saturation.
     Prng rng(401);
@@ -888,7 +761,7 @@ TEST(IltFusedGradcheck, MatchesFiniteDifferencesPerArm) {
              static_cast<float>(rng.uniform(-0.05, 0.05));
 
     geom::Grid mask_b(32, 32, 32);
-    kern.sigmoid_relax(p.data(), beta, mask_b.data.data(), npx);
+    ilt::sigmoid_relax(p.data(), beta, mask_b.data.data(), npx);
     litho::LithoWorkspace ws;
     geom::Grid grad_mb;
     const float doses[1] = {1.0f};
@@ -897,14 +770,14 @@ TEST(IltFusedGradcheck, MatchesFiniteDifferencesPerArm) {
     std::vector<float> grad_p(npx);
     float max_abs = 0.0f;
     bool finite = false;
-    kern.chain_rule(mask_b.data.data(), grad_mb.data.data(), beta, grad_p.data(), npx,
+    ilt::chain_rule(mask_b.data.data(), grad_mb.data.data(), beta, grad_p.data(), npx,
                     &max_abs, &finite);
     ASSERT_TRUE(finite);
     EXPECT_GT(max_abs, 0.0f);
 
     auto loss = [&](const std::vector<float>& pv) {
       geom::Grid mb(32, 32, 32);
-      kern.sigmoid_relax(pv.data(), beta, mb.data.data(), npx);
+      ilt::sigmoid_relax(pv.data(), beta, mb.data.data(), npx);
       return sim.forward_relaxed(mb, target).error;
     };
     testing::check_vector_gradient(loss, p, grad_p, rng);
