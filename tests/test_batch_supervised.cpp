@@ -21,6 +21,7 @@
 
 #include "geometry/layout.hpp"
 #include "obs/ledger.hpp"
+#include "output_pins.hpp"
 
 #ifndef GANOPC_CLI_PATH
 #error "GANOPC_CLI_PATH must point at the ganopc CLI binary"
@@ -107,6 +108,20 @@ TEST_F(BatchSupervisedTest, SupervisedManifestMatchesSequentialBitForBit) {
   const std::string seq_csv = read_bytes(path("seq.csv"));
   ASSERT_FALSE(seq_csv.empty());
   EXPECT_EQ(read_bytes(path("sup.csv")), seq_csv);
+}
+
+TEST_F(BatchSupervisedTest, SupervisedManifestMatchesThePinnedManifest) {
+  // The batch test_output_pins runs in process, here through two forked
+  // workers: both must reduce to the same pinned manifest hash.
+  std::string clips;
+  for (const std::string& p : testutil::write_pinned_clips(dir_)) {
+    if (!clips.empty()) clips += ",";
+    clips += p;
+  }
+  const int sup = run_cli("batch --clips " + clips + " " + testutil::kPinnedBatchFlags +
+                          " --workers 2 --manifest " + path("sup.csv"));
+  ASSERT_TRUE(WIFEXITED(sup) && WEXITSTATUS(sup) == 0) << stdout_text();
+  EXPECT_EQ(testutil::manifest_pin(read_bytes(path("sup.csv"))), testutil::kPinnedManifest);
 }
 
 TEST_F(BatchSupervisedTest, KillMatrixDegradesQuarantinesAndSparesCleanClips) {
