@@ -144,8 +144,7 @@ int main(int argc, char** argv) {
   litho::LithoSim sim(optics, litho::ResistConfig{}, grid, pixel);
   // The serving-path backend: the top-8 TCC eigen-kernels (`tcc:8`), i.e. the
   // same imaging operator compressed to a third of the Abbe kernel count.
-  const litho::TccBackend tcc_backend(8, /*min_captured_energy=*/0.0);
-  litho::LithoSim sim_tcc(tcc_backend.build(optics, grid, pixel),
+  litho::LithoSim sim_tcc(litho::parse_litho_backend("tcc:8").build(optics, grid, pixel),
                           litho::ResistConfig{});
   std::vector<geom::Grid> masks;
   for (int i = 0; i < 4; ++i) masks.push_back(wire_clip(grid, pixel, 64 * i));

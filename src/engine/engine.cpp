@@ -38,10 +38,9 @@ std::string format_g(double v) {
 
 litho::LithoSim Engine::build_sim(const EngineOptions& options) {
   options.config.validate();
-  const auto backend = litho::make_litho_backend(options.backend);
   return litho::LithoSim(
-      backend->build(options.config.optics, options.config.litho_grid,
-                     options.config.litho_pixel_nm()),
+      options.backend.build(options.config.optics, options.config.litho_grid,
+                            options.config.litho_pixel_nm()),
       options.resist);
 }
 

@@ -1,35 +1,32 @@
-// Pluggable litho backends: kernel factories behind one SOCS interface.
+// The litho model: a parsed `--litho-backend` spec that builds its own SOCS
+// kernels.
 //
 // Every hot surface of the simulator — aerial_into, simulate_batch, the
 // Eq. (14) adjoint gradient, pv_band — consumes a SocsKernels set and nothing
-// else, so "swap the imaging model" reduces to "swap the kernel factory".
-// A LithoBackend builds the SocsKernels for a target grid; LithoSim and the
-// engine layer never know which physics produced them:
+// else, so "swap the imaging model" reduces to "build a different kernel
+// set". LithoBackendSpec::build is the one place that does, and LithoSim and
+// the engine layer never know which physics produced the set:
 //
-//   AbbeBackend  — one coherent kernel per sampled source point (the
-//                  reference; N_h = OpticsConfig::num_kernels transforms per
-//                  image).
-//   TccBackend   — builds the Hopkins TCC operator *from the same Abbe
-//                  source sampling*, eigendecomposes it, and keeps the top-k
-//                  kernels. Because the generating measure is identical, the
-//                  truncated SOCS converges to the Abbe image as k grows and
-//                  `1 - captured_energy` bounds the relative aerial L2 error
-//                  — the contract the `equivalence` test tier pins. Fewer
-//                  kernels at matched accuracy is the serving speedup
-//                  (k transforms instead of N_h per image).
-//
-// `parse_litho_backend` understands the CLI spelling:
-//   "abbe"      — the reference path (default)
-//   "tcc"       — auto-truncated TCC: smallest k whose captured energy meets
-//                 the floor (default 0.99)
+//   "abbe"      — one coherent kernel per sampled source point (the
+//                 reference, and the default; N_h = OpticsConfig::num_kernels
+//                 transforms per image).
+//   "tcc"       — the Hopkins TCC operator built *from the same Abbe source
+//                 sampling*, eigendecomposed, truncated to the smallest k
+//                 whose captured energy reaches a fixed floor of 0.99
+//                 (`kAutoEnergyFloor` in backend.cpp). Because the generating
+//                 measure is identical, the truncated SOCS converges to the
+//                 Abbe image as k grows and `1 - captured_energy` bounds the
+//                 relative aerial L2 error — the contract the `equivalence`
+//                 test tier pins. Fewer kernels at matched accuracy is the
+//                 serving speedup (k transforms instead of N_h per image).
 //   "tcc:<k>"   — exactly k kernels, the user's explicit speed/accuracy
-//                 override: the energy floor is waived, but captured_energy
-//                 stays recorded on the kernel set and the differential bound
-//                 in the equivalence tier scales with it
+//                 override: no floor applies, but captured_energy stays
+//                 recorded on the kernel set and the differential bound in
+//                 the equivalence tier scales with it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "litho/kernels.hpp"
@@ -37,55 +34,30 @@
 
 namespace ganopc::litho {
 
-/// Parsed `--litho-backend` selection. `tcc_kernels <= 0` means "auto": keep
-/// the smallest k whose captured energy reaches `min_captured_energy`.
+/// Parsed `--litho-backend` selection. `tcc_kernels <= 0` means "auto".
 struct LithoBackendSpec {
   enum class Kind { Abbe, Tcc };
   Kind kind = Kind::Abbe;
   int tcc_kernels = 0;
-  double min_captured_energy = 0.99;
+
+  /// Build the SOCS kernel set for a grid_size x grid_size window at
+  /// pixel_nm. Throws a typed Status on invalid optics/geometry or, in auto
+  /// TCC mode, when the captured-energy floor cannot be met.
+  SocsKernels build(const OpticsConfig& optics, std::int32_t grid_size,
+                    std::int32_t pixel_nm) const;
 };
 
-/// Parse "abbe" | "tcc" | "tcc:<k>" (throws a typed kInvalidInput Status on
-/// anything else, including k < 1).
+/// Parse "abbe" | "tcc" | "tcc:<k>" ("" is "abbe"). Throws a typed
+/// kInvalidInput Status on anything else, including a k outside [1, INT_MAX].
 LithoBackendSpec parse_litho_backend(const std::string& text);
 
 /// Stable display name: "abbe", "tcc", or "tcc:<k>".
 std::string litho_backend_name(const LithoBackendSpec& spec);
 
-/// A kernel factory. Stateless and cheap to hold; `build` does the work.
-class LithoBackend {
- public:
-  virtual ~LithoBackend() = default;
-  /// Build the SOCS kernel set for a grid_size x grid_size window at
-  /// pixel_nm. Throws a typed Status on invalid optics/geometry or (TCC)
-  /// when the captured-energy floor cannot be met.
-  virtual SocsKernels build(const OpticsConfig& optics, std::int32_t grid_size,
-                            std::int32_t pixel_nm) const = 0;
-};
-
-/// The current source-point SOCS path — the reference imaging model.
-class AbbeBackend final : public LithoBackend {
- public:
-  SocsKernels build(const OpticsConfig& optics, std::int32_t grid_size,
-                    std::int32_t pixel_nm) const override;
-};
-
-/// Top-k TCC eigen-kernels of the Abbe-sampled source operator.
-class TccBackend final : public LithoBackend {
- public:
-  /// `num_kernels <= 0` selects the smallest k meeting the energy floor.
-  explicit TccBackend(int num_kernels = 0, double min_captured_energy = 0.99);
-
-  SocsKernels build(const OpticsConfig& optics, std::int32_t grid_size,
-                    std::int32_t pixel_nm) const override;
-
- private:
-  int num_kernels_;
-  double min_captured_energy_;
-};
-
-/// Factory from a parsed spec.
-std::unique_ptr<LithoBackend> make_litho_backend(const LithoBackendSpec& spec);
+/// Returns a copy of `spec`, so `make_litho_backend(spec)->build(...)` still
+/// compiles. It exists only because the benchmark harness times
+/// `litho.build_s` through that call (bench/e2e/main.cpp), and the harness
+/// changes only with the benchmark. New code calls `spec.build(...)`.
+std::optional<LithoBackendSpec> make_litho_backend(const LithoBackendSpec& spec);
 
 }  // namespace ganopc::litho

@@ -91,7 +91,6 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
   const auto un = static_cast<std::size_t>(grid_);
   const double df = 1.0 / (static_cast<double>(grid_) * pixel_nm);
   const double cutoff2 = config.cutoff() * config.cutoff();
-  const double lambda = config.wavelength_nm;
 
   freq_kernels_.reserve(points.size());
   supports_.reserve(points.size());
@@ -116,21 +115,13 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
       if ((fy + p.fy) * (fy + p.fy) >= cutoff2) continue;
       for (const std::int32_t c : box_cols) {
         const std::int32_t cc = c <= grid_ / 2 ? c : c - grid_;
-        const double fx = cc * df;
         // Pupil evaluated at the frequency shifted by the source point: an
         // oblique illumination tilts the spectrum across the pupil.
-        const double gx = fx + p.fx, gy = fy + p.fy;
-        const double g2 = gx * gx + gy * gy;
-        if (g2 >= cutoff2) continue;
-        cfloat& bin = hat[static_cast<std::size_t>(r) * un + static_cast<std::size_t>(c)];
-        if (config.defocus_nm != 0.0) {
-          // Paraxial defocus phase: exp(-i * pi * lambda * z * |f|^2).
-          const double phase = -M_PI * lambda * config.defocus_nm * g2;
-          bin = {static_cast<float>(std::cos(phase)), static_cast<float>(std::sin(phase))};
-        } else {
-          bin = {1.0f, 0.0f};
-        }
-        if (bin != cfloat{}) live.mark(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+        const std::complex<double> v = pupil(config, cc * df + p.fx, fy + p.fy);
+        const cfloat bin{static_cast<float>(v.real()), static_cast<float>(v.imag())};
+        if (bin == cfloat{}) continue;
+        hat[static_cast<std::size_t>(r) * un + static_cast<std::size_t>(c)] = bin;
+        live.mark(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
       }
     }
     push_kernel(std::move(hat), live.collect(), static_cast<float>(p.weight));

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <vector>
 
@@ -46,8 +47,18 @@ struct SourcePoint {
 };
 
 /// Sample the annular source at `count` points on concentric rings.
-/// Weights are uniform and sum to 1. Points come in +/- pairs so the sampled
-/// source, like the physical one, is symmetric under inversion.
+/// Weights are uniform and sum to 1. The physical source is symmetric under
+/// inversion; the sampled one is only at some counts. At 8 points every point
+/// has a negated partner; at the paper's 24 none does (the nearest negation
+/// is 0.175 sigma away). At focus the pupil is real and symmetric, so the
+/// kernels of s and -s give the same intensity and each point acts as its
+/// own +/- pair; under defocus an unpaired point biases the image.
 std::vector<SourcePoint> sample_annular_source(const OpticsConfig& config, int count);
+
+/// The pupil at spatial frequency (fx, fy), in cycles/nm: zero at and beyond
+/// the cutoff NA / lambda, otherwise the paraxial defocus phase
+/// exp(-i * pi * lambda * z * |f|^2), exactly 1 at focus. The Abbe and TCC
+/// kernel builders both evaluate it at a frequency shifted by a source point.
+std::complex<double> pupil(const OpticsConfig& config, double fx, double fy);
 
 }  // namespace ganopc::litho

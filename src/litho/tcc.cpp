@@ -57,16 +57,6 @@ std::vector<SourceSample> dense_source(const OpticsConfig& cfg, int count) {
   return samples;
 }
 
-// Pupil function (amplitude + defocus phase) at frequency (fx, fy).
-cdouble pupil(const OpticsConfig& cfg, double fx, double fy) {
-  const double f2 = fx * fx + fy * fy;
-  const double c = cfg.cutoff();
-  if (f2 >= c * c) return {0.0, 0.0};
-  if (cfg.defocus_nm == 0.0) return {1.0, 0.0};
-  const double phase = -M_PI * cfg.wavelength_nm * cfg.defocus_nm * f2;
-  return {std::cos(phase), std::sin(phase)};
-}
-
 // One source sample's share w_s p_s p_s^H of the TCC operator, with the
 // shifted pupil p_s kept only where it is nonzero.
 struct SourceFactor {

@@ -1,8 +1,8 @@
 // Backend-equivalence tier (DESIGN.md §15): the truncated-TCC litho backend
 // differentially checked against the Abbe reference it is built from.
 //
-// TccBackend builds the Hopkins operator from the SAME source points the
-// Abbe backend samples, so the full-rank expansion reproduces the Abbe image
+// The `tcc` spec builds the Hopkins operator from the SAME source points the
+// `abbe` spec samples, so the full-rank expansion reproduces the Abbe image
 // exactly and truncation is the ONLY difference between the two backends.
 // That gives an analytic handle the tests pin:
 //   - the relative aerial L2 error is bounded by the discarded trace
@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,6 +34,8 @@ namespace {
 
 constexpr std::int32_t kGrid = 64;
 constexpr std::int32_t kPixel = 32;  // 2048 nm clip window
+const LithoBackendSpec kAbbe = parse_litho_backend("abbe");
+const LithoBackendSpec kTccAuto = parse_litho_backend("tcc");
 
 OpticsConfig base_optics() {
   OpticsConfig cfg;
@@ -94,7 +97,7 @@ bool on_contour(const geom::Grid& print, std::int32_t r, std::int32_t c) {
 
 TEST(BackendEquivalence, AerialErrorBoundedByDiscardedEnergy) {
   const OpticsConfig optics = base_optics();
-  const LithoSim abbe(AbbeBackend().build(optics, kGrid, kPixel), ResistConfig{});
+  const LithoSim abbe(kAbbe.build(optics, kGrid, kPixel), ResistConfig{});
   const geom::Grid mask = soft_mask(notch_target());
   const geom::Grid ref = abbe.aerial(mask);
 
@@ -102,7 +105,7 @@ TEST(BackendEquivalence, AerialErrorBoundedByDiscardedEnergy) {
     // Explicit k waives the energy floor; captured_energy is still recorded
     // and is exactly the bound the truncation must honor.
     const SocsKernels kernels =
-        TccBackend(k, /*min_captured_energy=*/0.0).build(optics, kGrid, kPixel);
+        parse_litho_backend("tcc:" + std::to_string(k)).build(optics, kGrid, kPixel);
     EXPECT_EQ(kernels.count(), k);
     const double energy = kernels.captured_energy();
     EXPECT_GT(energy, 0.85);
@@ -121,19 +124,15 @@ TEST(BackendEquivalence, AerialErrorBoundedByDiscardedEnergy) {
 
 TEST(BackendEquivalence, AutoTruncationMeetsEnergyFloor) {
   // The `tcc` default (auto k at a 0.99 floor) — the acceptance contract.
-  const LithoBackendSpec spec = parse_litho_backend("tcc");
-  EXPECT_EQ(spec.tcc_kernels, 0);
-  EXPECT_DOUBLE_EQ(spec.min_captured_energy, 0.99);
-
-  const SocsKernels kernels =
-      make_litho_backend(spec)->build(base_optics(), kGrid, kPixel);
+  EXPECT_EQ(kTccAuto.tcc_kernels, 0);
+  const SocsKernels kernels = kTccAuto.build(base_optics(), kGrid, kPixel);
   EXPECT_GE(kernels.captured_energy(), 0.99);
   // Auto keeps the *smallest* such k: strictly fewer kernels than the
   // full-rank operator, or the truncation would buy nothing.
   EXPECT_LT(kernels.count(), 24);
   EXPECT_GE(kernels.count(), 1);
 
-  const LithoSim abbe(AbbeBackend().build(base_optics(), kGrid, kPixel),
+  const LithoSim abbe(kAbbe.build(base_optics(), kGrid, kPixel),
                       ResistConfig{});
   const LithoSim tcc(kernels, ResistConfig{});
   const geom::Grid mask = soft_mask(notch_target());
@@ -145,8 +144,8 @@ TEST(BackendEquivalence, PrintsAgreeAtContour) {
   // Hard resist prints may only disagree where the decision is marginal:
   // every differing pixel must sit on the reference contour (<= 1 px EPE).
   const OpticsConfig optics = base_optics();
-  const LithoSim abbe(AbbeBackend().build(optics, kGrid, kPixel), ResistConfig{});
-  const LithoSim tcc(TccBackend().build(optics, kGrid, kPixel), ResistConfig{});
+  const LithoSim abbe(kAbbe.build(optics, kGrid, kPixel), ResistConfig{});
+  const LithoSim tcc(kTccAuto.build(optics, kGrid, kPixel), ResistConfig{});
 
   const geom::Grid mask = soft_mask(notch_target());
   const geom::Grid print_abbe = abbe.simulate(mask);
@@ -169,8 +168,8 @@ TEST(BackendEquivalence, IltParityWithinTwoPercent) {
   // End to end: an ILT solve through the auto-truncated TCC backend lands
   // within 2% of the Abbe backend on final L2 and PV band.
   const OpticsConfig optics = base_optics();
-  const LithoSim abbe(AbbeBackend().build(optics, kGrid, kPixel), ResistConfig{});
-  const LithoSim tcc(TccBackend().build(optics, kGrid, kPixel), ResistConfig{});
+  const LithoSim abbe(kAbbe.build(optics, kGrid, kPixel), ResistConfig{});
+  const LithoSim tcc(kTccAuto.build(optics, kGrid, kPixel), ResistConfig{});
   const geom::Grid target = dense_target();
 
   ilt::IltConfig cfg;
@@ -218,8 +217,8 @@ TEST(BackendEquivalence, EachBackendBitIdenticalAcrossThreadsAndSimdArms) {
       set_simd_level(arm);
       // Kernels are FFT products too: rebuild under the pinned arm.
       const LithoSim sim(use_tcc
-                             ? TccBackend().build(optics, kGrid, kPixel)
-                             : AbbeBackend().build(optics, kGrid, kPixel),
+                             ? kTccAuto.build(optics, kGrid, kPixel)
+                             : kAbbe.build(optics, kGrid, kPixel),
                          ResistConfig{});
       ThreadPool::reset(1);
       const geom::Grid base_aerial = sim.aerial(mask);

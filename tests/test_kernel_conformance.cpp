@@ -700,7 +700,7 @@ TEST(BandLimitedFft, KernelSupportMatchesBruteForceScan) {
   const litho::SocsKernels sets[] = {
       litho::SocsKernels(focused, grid, pixel),
       litho::SocsKernels(defocused, grid, pixel),
-      litho::TccBackend(8, /*min_captured_energy=*/0.0).build(focused, grid, pixel),
+      litho::parse_litho_backend("tcc:8").build(focused, grid, pixel),
   };
   const auto n = static_cast<std::size_t>(grid);
   for (std::size_t s = 0; s < std::size(sets); ++s) {

@@ -267,8 +267,8 @@ TEST(LithoDeterminism, SocsOutputsPinnedPerArm) {
   // (128 px, 16 nm, tcc:8). The gradient's resist sigmoid calls libm expf,
   // so like the TCC pins above these values assume the platform libm.
   const OpticsConfig optics;
-  const SocsKernels abbe = AbbeBackend().build(optics, 256, 8);
-  const SocsKernels tcc = make_litho_backend(parse_litho_backend("tcc:8"))->build(optics, 128, 16);
+  const SocsKernels abbe = parse_litho_backend("abbe").build(optics, 256, 8);
+  const SocsKernels tcc = parse_litho_backend("tcc:8").build(optics, 128, 16);
   struct Pin {
     SimdLevel arm;
     const SocsKernels* kernels;

@@ -175,17 +175,15 @@ litho::LithoBackendSpec backend_spec(const Args& args) {
 }
 
 // Standalone simulator for the direct commands (mbopc/eval), built
-// through the same pluggable backend the Engine uses.
+// from the same backend spec the Engine uses.
 litho::LithoSim make_sim(const geom::Layout& clip, int grid, const Args& args) {
   GANOPC_CHECK_MSG(clip.clip().width() == clip.clip().height(),
                    "clip window must be square");
   GANOPC_CHECK_MSG(clip.clip().width() % grid == 0,
                    "grid " << grid << " does not divide the clip extent");
   litho::OpticsConfig optics;
-  return litho::LithoSim(
-      litho::make_litho_backend(backend_spec(args))
-          ->build(optics, grid, clip.clip().width() / grid),
-      litho::ResistConfig{});
+  return litho::LithoSim(backend_spec(args).build(optics, grid, clip.clip().width() / grid),
+                         litho::ResistConfig{});
 }
 
 void dump(const geom::Grid& g, const std::string& name) {
