@@ -440,9 +440,6 @@ LithoSim::PvBand LithoSim::pv_band(const geom::Grid& mask, float dose_delta) con
   GANOPC_OBS_SPAN("litho.pv_band");
   GANOPC_CHECK(dose_delta > 0.0f && dose_delta < 1.0f);
   const geom::Grid aerial_image = aerial(mask);
-  PvBand band;
-  band.outer = print(aerial_image, 1.0f + dose_delta);
-  band.inner = print(aerial_image, 1.0f - dose_delta);
 
   // A +/-2% dose error moves contours by only a few nanometers — well below
   // one simulation pixel — so the band area is measured on a band-limited
@@ -459,9 +456,7 @@ LithoSim::PvBand LithoSim::pv_band(const geom::Grid& mask, float dose_delta) con
   std::int64_t diff_px = 0;
   for (const float v : fine) diff_px += (v >= lo) != (v >= hi);
   const double fine_pixel = static_cast<double>(pixel_nm()) / static_cast<double>(factor);
-  band.area_nm2 =
-      static_cast<std::int64_t>(std::llround(diff_px * fine_pixel * fine_pixel));
-  return band;
+  return {static_cast<std::int64_t>(std::llround(diff_px * fine_pixel * fine_pixel))};
 }
 
 double LithoSim::l2_error(const geom::Grid& mask, const geom::Grid& target) const {

@@ -108,9 +108,8 @@ class LithoSim {
                      LithoWorkspace& ws) const;
 
   struct PvBand {
-    geom::Grid outer;          ///< print at dose (1 + delta)
-    geom::Grid inner;          ///< print at dose (1 - delta)
-    std::int64_t area_nm2 = 0; ///< XOR area between the two contours
+    /// XOR area between the prints at dose (1 + delta) and (1 - delta).
+    std::int64_t area_nm2 = 0;
   };
 
   /// Process-variation band under +/- dose error (paper: +/-2%).

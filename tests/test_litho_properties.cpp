@@ -92,8 +92,11 @@ TEST(LithoProperties, PvBandGrowsWithDoseDelta) {
 }
 
 TEST(LithoProperties, MirrorSymmetricMaskPrintsMirrorSymmetric) {
-  // The sampled annular source is inversion-symmetric, so a mask symmetric
-  // under 180-degree rotation images to a symmetric intensity.
+  // At focus the pupil is real and symmetric, so each source point acts as
+  // its own +/- pair even though the 24 sampled points have no negated
+  // partners, and a mask symmetric under 180-degree rotation images to a
+  // symmetric intensity. Any source passes this; it cannot see the defocus
+  // bias of an unpaired source.
   const LithoSim sim = make_sim(24);
   const std::int32_t n = 64;
   geom::Grid mask(n, n, 16);

@@ -59,8 +59,9 @@ TEST(Optics, PaperKernelCountIs24) {
 }
 
 TEST(Optics, SourceApproxCentroidAtOrigin) {
-  // Ring sampling keeps the sampled source balanced (centroid ~ 0), matching
-  // the inversion symmetry of the physical annulus.
+  // Ring sampling keeps the sampled source balanced (centroid ~ 0), as the
+  // physical annulus is. It is not inversion-symmetric: at 24 points no point
+  // has a negated partner (the nearest is 0.175 sigma away).
   OpticsConfig cfg;
   const auto pts = sample_annular_source(cfg, 24);
   double cx = 0, cy = 0;
