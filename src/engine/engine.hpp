@@ -3,8 +3,8 @@
 //
 // An Engine is one long-lived session that owns everything a mask
 // optimization needs: the validated GanOpcConfig, the lithography simulator
-// (built once through a pluggable litho backend — Abbe reference kernels or
-// truncated-TCC eigen-kernels) and the optional generator weights. Litho
+// (its kernels built once by the litho backend spec — Abbe reference kernels
+// or truncated-TCC eigen-kernels) and the optional generator weights. Litho
 // scratch is the calling thread's `litho::thread_workspace()`, whose buffers
 // stay warm across submissions.
 // `submit(clip, options) -> MaskResult` is the single entry point; the CLI's
@@ -108,7 +108,7 @@ struct MaskResult {
 class Engine {
  public:
   /// Opens the session: validates the config, builds the litho kernels
-  /// through the backend, loads/attaches the generator. Throws a typed
+  /// from the backend spec, loads/attaches the generator. Throws a typed
   /// StatusError on an invalid config/policy, an unreadable generator file,
   /// or a TCC backend that cannot meet its captured-energy floor.
   explicit Engine(EngineOptions options);
