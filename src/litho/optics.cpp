@@ -52,13 +52,4 @@ std::vector<SourcePoint> sample_annular_source(const OpticsConfig& config, int c
   return points;
 }
 
-std::complex<double> pupil(const OpticsConfig& config, double fx, double fy) {
-  const double f2 = fx * fx + fy * fy;
-  const double c = config.cutoff();
-  if (f2 >= c * c) return {0.0, 0.0};
-  if (config.defocus_nm == 0.0) return {1.0, 0.0};
-  const double phase = -M_PI * config.wavelength_nm * config.defocus_nm * f2;
-  return {std::cos(phase), std::sin(phase)};
-}
-
 }  // namespace ganopc::litho

@@ -59,6 +59,15 @@ std::vector<SourcePoint> sample_annular_source(const OpticsConfig& config, int c
 /// the cutoff NA / lambda, otherwise the paraxial defocus phase
 /// exp(-i * pi * lambda * z * |f|^2), exactly 1 at focus. The Abbe and TCC
 /// kernel builders both evaluate it at a frequency shifted by a source point.
-std::complex<double> pupil(const OpticsConfig& config, double fx, double fy);
+/// Inline because the Abbe constructor calls it for every bin of each
+/// kernel's bounding box.
+inline std::complex<double> pupil(const OpticsConfig& config, double fx, double fy) {
+  const double f2 = fx * fx + fy * fy;
+  const double c = config.cutoff();
+  if (f2 >= c * c) return {0.0, 0.0};
+  if (config.defocus_nm == 0.0) return {1.0, 0.0};
+  const double phase = -M_PI * config.wavelength_nm * config.defocus_nm * f2;
+  return {std::cos(phase), std::sin(phase)};
+}
 
 }  // namespace ganopc::litho
