@@ -44,14 +44,19 @@ inline std::vector<std::string> write_pinned_clips(const std::string& dir) {
   return paths;
 }
 
-/// The pinned batch, as `ganopc batch` flags (workers and manifest path
-/// left to the caller). The in-process run builds the same EngineOptions.
-inline constexpr char kPinnedBatchFlags[] =
-    "--scale quick --grid 128 --litho-backend tcc:8 --iters 20 "
-    "--deterministic-manifest 1";
+/// The pinned batch: quick scale with these settings and a deterministic
+/// manifest.
 inline constexpr std::int32_t kPinnedBatchGrid = 128;
 inline constexpr char kPinnedBatchBackend[] = "tcc:8";
 inline constexpr int kPinnedBatchIters = 20;
+
+/// The pinned batch as `ganopc batch` flags (workers and manifest path left
+/// to the caller).
+inline std::string pinned_batch_flags() {
+  return "--scale quick --grid " + std::to_string(kPinnedBatchGrid) + " --litho-backend " +
+         kPinnedBatchBackend + " --iters " + std::to_string(kPinnedBatchIters) +
+         " --deterministic-manifest 1";
+}
 
 /// FNV-1a 64 of a manifest CSV without its `source` and `runtime_s`
 /// columns: a clip's file path and wall time are the only cells two runs of

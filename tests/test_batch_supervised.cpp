@@ -118,7 +118,7 @@ TEST_F(BatchSupervisedTest, SupervisedManifestMatchesThePinnedManifest) {
     if (!clips.empty()) clips += ",";
     clips += p;
   }
-  const int sup = run_cli("batch --clips " + clips + " " + testutil::kPinnedBatchFlags +
+  const int sup = run_cli("batch --clips " + clips + " " + testutil::pinned_batch_flags() +
                           " --workers 2 --manifest " + path("sup.csv"));
   ASSERT_TRUE(WIFEXITED(sup) && WEXITSTATUS(sup) == 0) << stdout_text();
   EXPECT_EQ(testutil::manifest_pin(read_bytes(path("sup.csv"))), testutil::kPinnedManifest);
