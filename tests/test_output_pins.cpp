@@ -11,9 +11,10 @@
 //   - the generator weights file after a quick train of 3 pre-training and
 //     3 adversarial iterations.
 // Each is checked on both dispatch arms at 1 and 3 pool threads against one
-// constant per arm. A change that moves masks on purpose updates the
-// constants in a commit of its own and states the old and new L2/PVB. The
-// ILT budget is capped so the binary stays well inside the tier timeout.
+// constant per arm (the manifest's is the same on both). A change that moves
+// masks on purpose updates the constants in a commit of its own and states
+// the old and new L2/PVB. The ILT budget is capped at 20 iterations so the
+// binary takes about half a minute in Release.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -64,7 +65,7 @@ struct ArmGuard {
   }
 };
 
-/// Runs `body(arm, threads)` on every arm this CPU has, at each pool size;
+/// Runs `body(arm)` on every arm this CPU has, at each pool size;
 /// skips the test after the scalar arm when AVX2+FMA is missing.
 template <typename Body>
 void for_each_arm_and_pool(Body body) {
@@ -77,7 +78,7 @@ void for_each_arm_and_pool(Body body) {
     for (const std::size_t t : kThreads) {
       ThreadPool::reset(t);
       SCOPED_TRACE(::testing::Message() << simd_level_name(arm) << ", " << t << " threads");
-      body(arm, t);
+      body(arm);
     }
   }
 }
@@ -144,7 +145,7 @@ TEST_F(OutputPins, EngineSubmitPinnedPerArm) {
       {"tcc:4", 64, false, 0x4237cfe0774ee703ULL, 0x4237cfe0774ee703ULL},
       {"tcc:4", 64, true, 0x807d9deb6aa48bf9ULL, 0x769c32a4c3d1811cULL},
   };
-  for_each_arm_and_pool([&](SimdLevel arm, std::size_t) {
+  for_each_arm_and_pool([&](SimdLevel arm) {
     for (const Pin& pin : pins) {
       const engine::Engine eng(session(pin.backend, pin.grid, kSubmitIters, pin.generator));
       EXPECT_EQ(submit_hash(eng), arm == SimdLevel::kScalar ? pin.scalar : pin.avx2)
@@ -156,7 +157,7 @@ TEST_F(OutputPins, EngineSubmitPinnedPerArm) {
 TEST_F(OutputPins, BatchManifestPinnedOnBothArms) {
   const std::vector<std::string> paths = testutil::write_pinned_clips(dir_);
   const std::string manifest = dir_ + "/manifest.csv";
-  for_each_arm_and_pool([&](SimdLevel, std::size_t) {
+  for_each_arm_and_pool([&](SimdLevel) {
     const engine::Engine eng(session(testutil::kPinnedBatchBackend,
                                      testutil::kPinnedBatchGrid,
                                      testutil::kPinnedBatchIters, false));
@@ -172,7 +173,7 @@ TEST_F(OutputPins, QuickTrainWeightsPinnedPerArm) {
   // `ganopc train --scale quick --pretrain-iters 3 --train-iters 3` without
   // its dataset cache or checkpoints; the pin is the saved weights file.
   const std::string weights = dir_ + "/generator.bin";
-  for_each_arm_and_pool([&](SimdLevel arm, std::size_t) {
+  for_each_arm_and_pool([&](SimdLevel arm) {
     const core::GanOpcConfig cfg = core::make_config(core::ReproScale::Quick);
     const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
                               cfg.litho_pixel_nm());
