@@ -7,11 +7,13 @@
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/status.hpp"
 
 namespace ganopc {
 
 namespace {
-// Rejects headers whose dimensions would trigger a multi-GiB allocation.
+// Largest width or height a PGM header may declare; read_pgm allocates only
+// as pixel bytes arrive, so a short file costs at most one 1 MiB chunk.
 constexpr int kMaxImageDim = 1 << 16;
 }  // namespace
 
@@ -58,24 +60,32 @@ void write_ppm(const std::string& path, const RgbImage& img) {
 
 GrayImage read_pgm(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  GANOPC_CHECK_MSG(in.good(), "cannot open " << path);
+  GANOPC_TYPED_CHECK(StatusCode::kIo, in.good(), "cannot open " << path);
   std::string magic;
   in >> magic;
-  GANOPC_CHECK_MSG(magic == "P5", "not a binary PGM: " << path);
+  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, magic == "P5", "not a binary PGM: " << path);
   int w = 0, h = 0, maxval = 0;
   in >> w >> h >> maxval;
-  GANOPC_CHECK_MSG(w > 0 && w <= kMaxImageDim && h > 0 && h <= kMaxImageDim &&
-                       maxval == 255,
-                   "unsupported PGM header: " << path);
+  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
+                     in && w > 0 && w <= kMaxImageDim && h > 0 && h <= kMaxImageDim &&
+                         maxval == 255,
+                     "unsupported PGM header: " << path);
   in.get();  // single whitespace after header
+  // The pixel buffer grows only as bytes arrive, a chunk at a time, so no
+  // header can size it far beyond what the file holds.
+  const auto npx = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
   GrayImage img;
   img.width = w;
   img.height = h;
-  img.pixels.resize(static_cast<std::size_t>(w) * h);
-  in.read(reinterpret_cast<char*>(img.pixels.data()),
-          static_cast<std::streamsize>(img.pixels.size()));
-  GANOPC_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(img.pixels.size()),
-                   "truncated PGM: " << path);
+  while (img.pixels.size() < npx && in) {
+    const std::size_t have = img.pixels.size();
+    img.pixels.resize(std::min(npx, have + (std::size_t{1} << 20)));
+    in.read(reinterpret_cast<char*>(img.pixels.data() + have),
+            static_cast<std::streamsize>(img.pixels.size() - have));
+    img.pixels.resize(have + static_cast<std::size_t>(in.gcount()));
+  }
+  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, img.pixels.size() == npx,
+                     "truncated PGM: " << path);
   return img;
 }
 

@@ -43,7 +43,9 @@ void write_pgm(const std::string& path, const GrayImage& img);
 /// Write binary PPM (P6). Throws ganopc::Error on I/O failure.
 void write_ppm(const std::string& path, const RgbImage& img);
 
-/// Read binary PGM (P5) written by write_pgm. Throws ganopc::Error on failure.
+/// Read binary PGM (P5) written by write_pgm. Throws StatusError: kIo when
+/// the file cannot be opened or read, kInvalidInput for a bad header or a
+/// file shorter than its header's width * height pixel bytes.
 GrayImage read_pgm(const std::string& path);
 
 }  // namespace ganopc
