@@ -2,6 +2,7 @@
 // ANY partially coherent imaging system, independent of kernel details.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/prng.hpp"
@@ -111,6 +112,35 @@ TEST(LithoProperties, MirrorSymmetricMaskPrintsMirrorSymmetric) {
       const float v2 = aerial.at(n - 1 - r, n - 1 - c);
       EXPECT_NEAR(v1, v2, 0.02f) << r << "," << c;
     }
+}
+
+TEST(LithoProperties, RotatedAsymmetricMaskImagesToRotatedImageAtFocus) {
+  // At focus every kernel of the paper's 24-point source acts as its own
+  // +/- pair (see above), so imaging the 180-degree rotation (r, c) ->
+  // ((n-r) mod n, (n-c) mod n) of an L-shaped mask, which has no such
+  // symmetry of its own, must give the rotated image.
+  OpticsConfig optics;
+  ASSERT_EQ(optics.num_kernels, 24);
+  const LithoSim sim(optics, ResistConfig{}, 128, 16);
+  const std::int32_t n = 128;
+  geom::Grid mask(n, n, 16), rotated(n, n, 16);
+  for (std::int32_t r = 30; r < 90; ++r)
+    for (std::int32_t c = 40; c < 52; ++c) mask.at(r, c) = 1.0f;
+  for (std::int32_t r = 78; r < 90; ++r)
+    for (std::int32_t c = 52; c < 96; ++c) mask.at(r, c) = 1.0f;
+  for (std::int32_t r = 0; r < n; ++r)
+    for (std::int32_t c = 0; c < n; ++c) rotated.at((n - r) % n, (n - c) % n) = mask.at(r, c);
+  const geom::Grid aerial = sim.aerial(mask);
+  const geom::Grid aerial_rotated = sim.aerial(rotated);
+  float peak = 0.0f, worst = 0.0f;
+  for (std::int32_t r = 0; r < n; ++r)
+    for (std::int32_t c = 0; c < n; ++c) {
+      peak = std::max(peak, aerial.at(r, c));
+      worst = std::max(worst,
+                       std::abs(aerial_rotated.at((n - r) % n, (n - c) % n) - aerial.at(r, c)));
+    }
+  EXPECT_GT(peak, 0.5f);
+  EXPECT_LE(worst, 1e-6f);
 }
 
 TEST(LithoProperties, MoreKernelsRefineIntensity) {
