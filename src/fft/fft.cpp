@@ -225,19 +225,6 @@ void irfft_2d(cfloat* spec, float* out, std::size_t height, std::size_t width) {
   irfft_2d_band(spec, out, height, width, width / 2 + 1);
 }
 
-void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width) {
-  GANOPC_CHECK(data.size() == height * width);
-  GANOPC_CHECK_MSG(height % 2 == 0 && width % 2 == 0, "fftshift requires even dims");
-  const std::size_t hh = height / 2, hw = width / 2;
-  for (std::size_t r = 0; r < hh; ++r) {
-    for (std::size_t c = 0; c < width; ++c) {
-      const std::size_t rc = (r + hh) % height;
-      const std::size_t cc = (c + hw) % width;
-      std::swap(data[r * width + c], data[rc * width + cc]);
-    }
-  }
-}
-
 std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t height,
                                        std::size_t width, std::size_t factor) {
   GANOPC_CHECK(in.size() == height * width);

@@ -43,9 +43,6 @@ void rfft_2d(const float* in, cfloat* out, std::size_t height, std::size_t width
 /// non-Hermitian spectrum silently drops its anti-symmetric part.
 void irfft_2d(cfloat* spec, float* out, std::size_t height, std::size_t width);
 
-/// fftshift: move zero-frequency component to grid center (even dims only).
-void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width);
-
 /// Band-limited (Fourier zero-padding) up-sampling of a real grid by an
 /// integer factor. Exact for signals whose spectrum vanishes above the input
 /// Nyquist — true of aerial images, whose bandwidth is set by the pupil.

@@ -72,16 +72,12 @@ void load_rows(const SplitGrid& grid, std::span<const std::size_t> rows, std::si
 }
 
 void load_rows(const cfloat* grid, std::size_t width, std::span<const std::size_t> rows,
-               std::span<const std::size_t> cols, float* out, bool negated) {
-  const auto at = [&](std::size_t i) { return negated ? (width - i) % width : i; };
-  std::size_t row_start[kLanes] = {};
-  for (std::size_t j = 0; j < rows.size(); ++j) row_start[j] = at(rows[j]) * width;
+               std::span<const std::size_t> cols, float* out) {
   if (rows.size() < kLanes) std::fill(out, out + kBlock * cols.size(), 0.0f);
   for (std::size_t c = 0; c < cols.size(); ++c) {
     float* blk = out + kBlock * c;
-    const std::size_t col = at(cols[c]);
     for (std::size_t j = 0; j < rows.size(); ++j) {
-      const cfloat v = grid[row_start[j] + col];
+      const cfloat v = grid[rows[j] * width + cols[c]];
       blk[j] = v.real();
       blk[kLanes + j] = v.imag();
     }

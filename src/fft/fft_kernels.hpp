@@ -66,7 +66,7 @@ constexpr std::size_t lane_groups(std::size_t count) { return (count + kLanes - 
 /// The calling thread's scratch buffer `slot` (0 .. kScratchSlots-1), at
 /// least `floats` long: grown on first use and kept, so warm passes allocate
 /// nothing. A pass holds its slots only until it returns.
-inline constexpr std::size_t kScratchSlots = 4;
+inline constexpr std::size_t kScratchSlots = 3;
 float* lane_scratch(std::size_t floats, std::size_t slot = 0);
 
 /// Add `n` 1-D transforms to the `fft.transforms` work counter: one call per
@@ -115,14 +115,10 @@ void spread_blocks(const float* src, std::size_t step, std::span<const std::size
 /// columns [0, count), into lane j of blocks out[0 .. count). With an
 /// interleaved row-major grid of row length `width`: row rows[j] at columns
 /// cols[c] into lane j of block c. Lanes past rows.size() are zero.
-///
-/// With `negated`, the interleaved grid must be width x width and each bin is
-/// read at the negated frequency ((width - r) % width, (width - c) % width):
-/// the spectrum H(-f) of the flipped kernel h(-x), read from H without a copy.
 void load_rows(const SplitGrid& grid, std::span<const std::size_t> rows, std::size_t count,
                float* out);
 void load_rows(const cfloat* grid, std::size_t width, std::span<const std::size_t> rows,
-               std::span<const std::size_t> cols, float* out, bool negated = false);
+               std::span<const std::size_t> cols, float* out);
 
 /// Rows become lanes, bit-reversed: a kLanes x kLanes tile (block j holding
 /// row j of column group g) into lanes 0..lanes-1 of plan.n-point signals,

@@ -52,31 +52,27 @@ using fft::SplitGrid;
 
 // Per-thread batch buffers (fft::lane_scratch slots).
 constexpr std::size_t kBatchSlot = 0;    ///< one batch: n split-complex blocks
-constexpr std::size_t kOperandA = 1;     ///< product operands at the support columns
-constexpr std::size_t kOperandB = 2;
-constexpr std::size_t kSupportSlot = 3;  ///< adjoint row-pass output at the support columns
+constexpr std::size_t kOperandSlot = 1;  ///< product operands at the support columns
+constexpr std::size_t kSupportSlot = 2;  ///< adjoint row-pass output at the support columns
 
 /// Inverse row transforms of the band-limited products a .* H over rows
 /// `rows` and columns `cols` of an n x n spectrum, 8 rows per batch; every
 /// other bin enters as an exact zero. `load_a(batch, a)` writes operand a of
 /// the rows `batch` (up to 8 of `rows`) at the listed columns as blocks;
-/// `hat` is the full interleaved kernel spectrum H, read as H(-f) when
-/// `negated`. Row i lands in row i of `out`.
+/// `kernel` is H's operand blocks over the same rows and columns
+/// (SocsKernels::operand). Row i lands in row i of `out`.
 template <typename LoadA>
 void support_rows_inverse(std::span<const std::size_t> rows, std::span<const std::size_t> cols,
-                          const cfloat* hat, bool negated, LoadA load_a,
-                          const fft::FftPlan& plan, const fft::LaneOps& ops,
-                          const SplitGrid& out) {
+                          const float* kernel, LoadA load_a, const fft::FftPlan& plan,
+                          const fft::LaneOps& ops, const SplitGrid& out) {
   const std::size_t n = plan.n, nc = cols.size();
   float* blocks = lane_scratch(kBlock * n, kBatchSlot);
-  float* a = lane_scratch(kBlock * nc, kOperandA);
-  float* b = lane_scratch(kBlock * nc, kOperandB);
+  float* a = lane_scratch(kBlock * nc, kOperandSlot);
   for (std::size_t i0 = 0; i0 < rows.size(); i0 += kLanes) {
     const std::size_t lanes = std::min(kLanes, rows.size() - i0);
     const auto batch = rows.subspan(i0, lanes);
     load_a(batch, a);
-    fft::load_rows(hat, n, batch, cols, b, negated);
-    ops.cmul(a, b, a, nc);
+    ops.cmul(a, kernel + i0 / kLanes * nc * kBlock, a, nc);
     fft::spread_blocks(a, kBlock, cols, plan, blocks);
     ops.fft(blocks, plan, /*inverse=*/true);
     fft::store_rows(blocks, n, lanes, out, i0);
@@ -159,7 +155,7 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
     const auto& sup = kernels.support(static_cast<int>(k));
     const cfloat* mask_hat = ws.mask_hat.data();
     support_rows_inverse(
-        sup.rows, sup.cols, kernels.freq_kernel(static_cast<int>(k)).data(), /*negated=*/false,
+        sup.rows, sup.cols, kernels.operand(static_cast<int>(k)).data(),
         [&](std::span<const std::size_t> batch, float* a) {
           fft::load_rows(mask_hat, un, batch, sup.cols, a);
         },
@@ -188,7 +184,7 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
 // Threshold calibration: image a wide vertical stripe and take the intensity
 // at its geometric edge, so large features print at drawn size. Runs through
 // the same aerial-only socs_forward path as every aerial image, so it stores
-// no fields.
+// no fields, in the calling thread's workspace, which later calls reuse.
 float calibrate_threshold(const SocsKernels& kernels) {
   const std::int32_t n = kernels.grid_size();
   geom::Grid stripe(n, n, kernels.pixel_nm());
@@ -197,8 +193,7 @@ float calibrate_threshold(const SocsKernels& kernels) {
     for (std::int32_t c = c0; c < c1; ++c) stripe.at(r, c) = 1.0f;
 
   geom::Grid intensity;
-  LithoWorkspace ws;
-  socs_forward(kernels, stripe, intensity, ws, /*store_fields=*/false);
+  socs_forward(kernels, stripe, intensity, thread_workspace(), /*store_fields=*/false);
   // The geometric edge lies between pixel centers c0-1 and c0; average the
   // two along the stripe's mid row.
   const float* mid = intensity.data.data() + static_cast<std::size_t>(n / 2) * n;
@@ -395,8 +390,7 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
       // Product with H_k_hat(-f) on the support rows, inverse rows.
       const SplitGrid columns{support, kBlock, un * kBlock};
       support_rows_inverse(
-          sup.rows, sup.cols, kernels_.freq_kernel(static_cast<int>(k)).data(),
-          /*negated=*/true,
+          sup.rows, sup.cols, kernels_.operand_flipped(static_cast<int>(k)).data(),
           [&](std::span<const std::size_t> batch, float* a) {
             fft::load_rows(columns, batch, nc, a);
           },

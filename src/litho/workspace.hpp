@@ -12,14 +12,14 @@
 // Bytes at 256 px with 24 kernels (DESIGN.md §7): the gradient keeps the
 // N_h fields (12.6 MB) plus compact support rows (~1.5 MB) and one n^2
 // accumulator. An aerial-only call holds no fields at all. The transforms'
-// own batch buffers are per thread (fft::lane_scratch), and the kernel
-// spectra belong to SocsKernels, one per kernel: the adjoint reads the
-// flipped spectrum H(-f) from it in place.
+// own batch buffers are per thread (fft::lane_scratch), and the kernels
+// belong to SocsKernels, as the operands of both products (0.35 MB).
 //
 // A workspace is NOT thread-safe: it belongs to one simulation call at a
 // time. Each thread owns one (`thread_workspace`): the convenience wrappers
-// in LithoSim and the ILT loop all use the calling thread's, so a thread
-// holds one set of litho buffers however many of them it calls.
+// in LithoSim, its threshold calibration and the ILT loop all use the
+// calling thread's, so a thread holds one set of litho buffers however many
+// of them it calls.
 #pragma once
 
 #include <cstddef>

@@ -141,27 +141,6 @@ TEST(Fft2d, MatchesDirectDft) {
   }
 }
 
-TEST(Fft2d, FftShiftMovesDcToCenter) {
-  const std::size_t n = 8;
-  std::vector<cfloat> data(n * n, {0, 0});
-  data[0] = {1, 0};
-  fftshift_2d(data, n, n);
-  EXPECT_NEAR(data[(n / 2) * n + n / 2].real(), 1.0f, 1e-6f);
-  EXPECT_NEAR(data[0].real(), 0.0f, 1e-6f);
-}
-
-TEST(Fft2d, FftShiftIsInvolution) {
-  const std::size_t n = 16;
-  Prng rng(31);
-  std::vector<cfloat> data(n * n), orig;
-  for (auto& v : data) v = {static_cast<float>(rng.uniform(-1, 1)), 0.0f};
-  orig = data;
-  fftshift_2d(data, n, n);
-  fftshift_2d(data, n, n);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    EXPECT_EQ(data[i].real(), orig[i].real());
-}
-
 /// Circular 2-D convolution of two real grids through the spectra:
 /// irfft_2d(rfft_2d(a) .* rfft_2d(b)).
 std::vector<float> circular_convolve(const std::vector<float>& a, const std::vector<float>& b,

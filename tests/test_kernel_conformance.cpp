@@ -12,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/cpu.hpp"
@@ -533,11 +536,10 @@ std::vector<litho::SocsKernels::Support> support_shapes(Prng& rng, std::size_t n
   return shapes;
 }
 
-/// Kernels whose spectra hold random nonzero values exactly on each shape's
+/// Kernel spectra holding random nonzero values exactly on each shape's
 /// rows x columns, with nonincreasing weights.
-litho::SocsKernels shaped_kernels(Prng& rng, std::int32_t grid, std::int32_t pixel,
-                                  const std::vector<litho::SocsKernels::Support>& shapes) {
-  const auto n = static_cast<std::size_t>(grid);
+litho::TccKernelSet shaped_set(Prng& rng, std::size_t n,
+                               const std::vector<litho::SocsKernels::Support>& shapes) {
   litho::TccKernelSet set;
   set.captured_energy = 1.0;
   for (std::size_t s = 0; s < shapes.size(); ++s) {
@@ -549,7 +551,7 @@ litho::SocsKernels shaped_kernels(Prng& rng, std::int32_t grid, std::int32_t pix
     set.kernels_hat.push_back(std::move(hat));
     set.weights.push_back(1.0f / static_cast<float>(s + 1));
   }
-  return litho::SocsKernels(litho::OpticsConfig{}, grid, pixel, std::move(set));
+  return set;
 }
 
 /// Interleaved complex pixels as split blocks of 8 consecutive pixels.
@@ -588,7 +590,8 @@ struct DenseSocs {
   std::vector<float> gradient;
 };
 
-DenseSocs dense_socs(const litho::SocsKernels& kernels, const geom::Grid& mask,
+DenseSocs dense_socs(const litho::SocsKernels& kernels,
+                     const std::vector<std::vector<cfloat>>& hats, const geom::Grid& mask,
                      const geom::Grid& target, std::span<const float> doses, float threshold,
                      float alpha) {
   const auto n = static_cast<std::size_t>(kernels.grid_size());
@@ -601,8 +604,8 @@ DenseSocs dense_socs(const litho::SocsKernels& kernels, const geom::Grid& mask,
   const std::size_t blocks = npx / fft::kLanes;
   for (int k = 0; k < kernels.count(); ++k) {
     std::vector<float> product(2 * npx);
-    ops.cmul(to_blocks(mask_hat).data(), to_blocks(kernels.freq_kernel(k)).data(),
-             product.data(), blocks);
+    const auto& hat = hats[static_cast<std::size_t>(k)];
+    ops.cmul(to_blocks(mask_hat).data(), to_blocks(hat).data(), product.data(), blocks);
     std::vector<cfloat> a = from_blocks(product);
     fft::fft_2d(a, n, n, /*inverse=*/true);
     fields.push_back(to_blocks(a));
@@ -625,8 +628,9 @@ DenseSocs dense_socs(const litho::SocsKernels& kernels, const geom::Grid& mask,
       std::vector<cfloat> b = from_blocks(y);
       fft::fft_2d(b, n, n, /*inverse=*/false);
       std::vector<float> product = to_blocks(b);
-      ops.cmul(product.data(), to_blocks(negated_frequencies(kernels.freq_kernel(k), n)).data(),
-               product.data(), blocks);
+      const auto& hat = hats[static_cast<std::size_t>(k)];
+      ops.cmul(product.data(), to_blocks(negated_frequencies(hat, n)).data(), product.data(),
+               blocks);
       b = from_blocks(product);
       fft::fft_2d(b, n, n, /*inverse=*/true);
       ops.real_weighted_accum(to_blocks(b).data(), 2.0 * kernels.weight(k), acc.data(), blocks);
@@ -644,7 +648,8 @@ TEST(BandLimitedFft, SocsPassesEqualDenseTransformsOnEveryArmAndThreadCount) {
   for (const std::int32_t grid : {4, 16, 64}) {
     Prng rng(206 + static_cast<std::uint64_t>(grid));
     const auto n = static_cast<std::size_t>(grid);
-    const litho::SocsKernels kernels = shaped_kernels(rng, grid, pixel, support_shapes(rng, n));
+    const litho::TccKernelSet set = shaped_set(rng, n, support_shapes(rng, n));
+    const litho::SocsKernels kernels(litho::OpticsConfig{}, grid, pixel, set);
     geom::Grid mask(grid, grid, pixel), target(grid, grid, pixel);
     for (auto& v : mask.data) v = rng.uniform(0.0, 1.0) < 0.4 ? 1.0f : 0.0f;
     for (auto& v : target.data) v = rng.uniform(0.0, 1.0) < 0.4 ? 1.0f : 0.0f;
@@ -655,7 +660,8 @@ TEST(BandLimitedFft, SocsPassesEqualDenseTransformsOnEveryArmAndThreadCount) {
       LevelGuard guard;
       set_simd_level(lvl);
       const DenseSocs want =
-          dense_socs(kernels, mask, target, doses, sim.threshold(), resist.sigmoid_alpha);
+          dense_socs(kernels, set.kernels_hat, mask, target, doses, sim.threshold(),
+                     resist.sigmoid_alpha);
       ASSERT_GT(*std::max_element(want.aerial.begin(), want.aerial.end()), 0.0f);
       for (const std::size_t threads : {1u, 3u, 4u}) {
         ThreadPool::reset(threads);
@@ -691,23 +697,64 @@ litho::SocsKernels::Support scan_support(const std::vector<cfloat>& hat, std::si
   return s;
 }
 
+/// A kernel set and the dense n x n spectrum of each of its kernels, the
+/// latter computed without SocsKernels.
+struct ReferenceSet {
+  litho::SocsKernels kernels;
+  std::vector<std::vector<cfloat>> hats;
+};
+
+/// The Abbe constructor's kernels and their spectra the dense way: the
+/// pupil at every bin of the grid, shifted by each source point, where the
+/// constructor visits only each pupil's bounding box.
+ReferenceSet abbe_reference(const litho::OpticsConfig& optics, std::int32_t grid,
+                            std::int32_t pixel) {
+  const auto n = static_cast<std::size_t>(grid);
+  const double df = 1.0 / (static_cast<double>(grid) * pixel);
+  std::vector<std::vector<cfloat>> hats;
+  for (const auto& p : litho::sample_annular_source(optics, optics.num_kernels)) {
+    std::vector<cfloat> hat(n * n);
+    for (std::int32_t r = 0; r < grid; ++r)
+      for (std::int32_t c = 0; c < grid; ++c) {
+        const std::int32_t rr = r <= grid / 2 ? r : r - grid;
+        const std::int32_t cc = c <= grid / 2 ? c : c - grid;
+        const std::complex<double> v = litho::pupil(optics, cc * df + p.fx, rr * df + p.fy);
+        const cfloat bin{static_cast<float>(v.real()), static_cast<float>(v.imag())};
+        if (bin != cfloat{}) hat[static_cast<std::size_t>(r * grid + c)] = bin;
+      }
+    hats.push_back(std::move(hat));
+  }
+  return {litho::SocsKernels(optics, grid, pixel), std::move(hats)};
+}
+
+/// The `tcc:<k>` spec's kernels and the eigensolver's dense spectra they
+/// were adopted from.
+ReferenceSet tcc_reference(const litho::OpticsConfig& optics, std::int32_t grid,
+                           std::int32_t pixel, int k) {
+  litho::TccOptions opts;
+  opts.source_points = litho::sample_annular_source(optics, optics.num_kernels);
+  return {litho::parse_litho_backend("tcc:" + std::to_string(k)).build(optics, grid, pixel),
+          litho::compute_tcc_kernels(optics, grid, pixel, k, opts).kernels_hat};
+}
+
 TEST(BandLimitedFft, KernelSupportMatchesBruteForceScan) {
   litho::OpticsConfig focused;
   focused.num_kernels = 12;
   litho::OpticsConfig defocused = focused;
   defocused.defocus_nm = 60.0;
   const std::int32_t grid = 64, pixel = 16;
-  const litho::SocsKernels sets[] = {
-      litho::SocsKernels(focused, grid, pixel),
-      litho::SocsKernels(defocused, grid, pixel),
-      litho::parse_litho_backend("tcc:8").build(focused, grid, pixel),
+  const ReferenceSet sets[] = {
+      abbe_reference(focused, grid, pixel),
+      abbe_reference(defocused, grid, pixel),
+      tcc_reference(focused, grid, pixel, 8),
   };
   const auto n = static_cast<std::size_t>(grid);
   for (std::size_t s = 0; s < std::size(sets); ++s) {
-    const litho::SocsKernels& kernels = sets[s];
+    const litho::SocsKernels& kernels = sets[s].kernels;
+    ASSERT_EQ(static_cast<std::size_t>(kernels.count()), sets[s].hats.size());
     for (int k = 0; k < kernels.count(); ++k) {
       SCOPED_TRACE(::testing::Message() << "set " << s << " kernel " << k);
-      const auto& hat = kernels.freq_kernel(k);
+      const auto& hat = sets[s].hats[static_cast<std::size_t>(k)];
       const auto flipped = negated_frequencies(hat, n);
       const auto& sup = kernels.support(k);
       const auto& sup_f = kernels.support_flipped(k);
@@ -727,6 +774,74 @@ TEST(BandLimitedFft, KernelSupportMatchesBruteForceScan) {
         EXPECT_TRUE(std::binary_search(sup_f.cols.begin(), sup_f.cols.end(), (n - c) % n));
       EXPECT_EQ(sup_f.rows.size(), sup.rows.size());
       EXPECT_EQ(sup_f.cols.size(), sup.cols.size());
+    }
+  }
+}
+
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+/// Lanes of `blocks` (SocsKernels::operand layout over support `s`) whose
+/// bits differ from `spectrum` at (s.rows[i], s.cols[c]), or from +0.0f for
+/// the slots i past the last row; the first one is described in `first`.
+std::size_t operand_mismatches(const litho::SocsKernels::Support& s,
+                               std::span<const float> blocks,
+                               const std::vector<cfloat>& spectrum, std::size_t n,
+                               std::string& first) {
+  const std::size_t nc = s.cols.size(), slots = fft::lane_groups(s.rows.size()) * fft::kLanes;
+  if (blocks.size() != slots / fft::kLanes * nc * fft::kBlock) {
+    first = "operand holds " + std::to_string(blocks.size()) + " floats";
+    return 1;
+  }
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < slots; ++i)
+    for (std::size_t c = 0; c < nc; ++c) {
+      const float* lane =
+          blocks.data() + (i / fft::kLanes * nc + c) * fft::kBlock + i % fft::kLanes;
+      const cfloat want = i < s.rows.size() ? spectrum[s.rows[i] * n + s.cols[c]] : cfloat{};
+      if (same_bits(lane[0], want.real()) && same_bits(lane[fft::kLanes], want.imag())) continue;
+      if (bad++ == 0)
+        first = "row slot " + std::to_string(i) + ", column " + std::to_string(c) + ": got (" +
+                std::to_string(lane[0]) + ", " + std::to_string(lane[fft::kLanes]) + ")";
+    }
+  return bad;
+}
+
+TEST(BandLimitedFft, OperandBlocksAreTheSpectrumOnItsSupport) {
+  // Every lane of every kernel's forward and flipped operand blocks, bitwise
+  // against a dense spectrum built without SocsKernels: H at support rows x
+  // support columns, H(-f) at the flipped support, +0.0f past the last row.
+  litho::OpticsConfig focused;
+  litho::OpticsConfig defocused = focused;
+  defocused.defocus_nm = 60.0;
+  Prng rng(27);
+  const std::size_t shaped_n = 16;
+  litho::TccKernelSet shaped = shaped_set(rng, shaped_n, support_shapes(rng, shaped_n));
+  std::vector<std::vector<cfloat>> shaped_hats = shaped.kernels_hat;
+  const ReferenceSet sets[] = {
+      abbe_reference(focused, 256, 8),
+      abbe_reference(defocused, 256, 8),
+      tcc_reference(focused, 128, 16, 8),
+      {litho::SocsKernels(focused, static_cast<std::int32_t>(shaped_n), 16, std::move(shaped)),
+       std::move(shaped_hats)},
+  };
+  for (std::size_t s = 0; s < std::size(sets); ++s) {
+    const litho::SocsKernels& kernels = sets[s].kernels;
+    const auto n = static_cast<std::size_t>(kernels.grid_size());
+    ASSERT_EQ(static_cast<std::size_t>(kernels.count()), sets[s].hats.size());
+    for (int k = 0; k < kernels.count(); ++k) {
+      SCOPED_TRACE(::testing::Message() << "set " << s << " kernel " << k);
+      const auto& hat = sets[s].hats[static_cast<std::size_t>(k)];
+      const auto scanned = scan_support(hat, n);
+      EXPECT_EQ(kernels.support(k).rows, scanned.rows);
+      EXPECT_EQ(kernels.support(k).cols, scanned.cols);
+      std::string first;
+      EXPECT_EQ(0u, operand_mismatches(kernels.support(k), kernels.operand(k), hat, n, first))
+          << "forward: " << first;
+      EXPECT_EQ(0u, operand_mismatches(kernels.support_flipped(k), kernels.operand_flipped(k),
+                                       negated_frequencies(hat, n), n, first))
+          << "flipped: " << first;
     }
   }
 }
