@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/cpu.hpp"
 #include "common/error.hpp"
@@ -150,8 +151,10 @@ void irfft_2d_band(cfloat* spec, float* out, std::size_t height, std::size_t wid
 float* lane_scratch(std::size_t floats, std::size_t slot) {
   thread_local std::vector<float> bufs[kScratchSlots];
   std::vector<float>& buf = bufs[slot];
-  if (buf.size() < floats) buf.resize(floats);
-  return buf.data();
+  if (buf.size() < floats + kBlock) buf.resize(floats + kBlock);
+  void* p = buf.data();
+  std::size_t bytes = buf.size() * sizeof(float);
+  return static_cast<float*>(std::align(64, floats * sizeof(float), p, bytes));
 }
 
 void count_transforms(std::size_t n) {

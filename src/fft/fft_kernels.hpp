@@ -64,7 +64,8 @@ void fft_lanes8_avx2(float* blocks, const FftPlan& plan, bool inverse);
 constexpr std::size_t lane_groups(std::size_t count) { return (count + kLanes - 1) / kLanes; }
 
 /// The calling thread's scratch buffer `slot` (0 .. kScratchSlots-1), at
-/// least `floats` long: grown on first use and kept, so warm passes allocate
+/// least `floats` long and 64-byte aligned, so no 32-byte AVX2 access splits
+/// a cache line: grown on first use and kept, so warm passes allocate
 /// nothing. A pass holds its slots only until it returns.
 inline constexpr std::size_t kScratchSlots = 3;
 float* lane_scratch(std::size_t floats, std::size_t slot = 0);

@@ -13,14 +13,13 @@ namespace ganopc::litho {
 namespace {
 
 using cfloat = std::complex<float>;
-using Support = SocsKernels::Support;
 using fft::kBlock;
 using fft::kLanes;
 
 /// The operand blocks (SocsKernels::operand) of the spectrum `bin(r, c)`
 /// over s.rows x s.cols.
 template <typename Bin>
-std::vector<float> operand_blocks(const Support& s, const Bin& bin) {
+std::vector<float> operand_blocks(const SocsKernels::Support& s, const Bin& bin) {
   const std::size_t nc = s.cols.size();
   std::vector<float> out(fft::lane_groups(s.rows.size()) * nc * kBlock, 0.0f);
   for (std::size_t i = 0; i < s.rows.size(); ++i) {

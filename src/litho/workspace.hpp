@@ -16,10 +16,9 @@
 // belong to SocsKernels, as the operands of both products (0.35 MB).
 //
 // A workspace is NOT thread-safe: it belongs to one simulation call at a
-// time. Each thread owns one (`thread_workspace`): the convenience wrappers
-// in LithoSim, its threshold calibration and the ILT loop all use the
-// calling thread's, so a thread holds one set of litho buffers however many
-// of them it calls.
+// time. Each thread owns one (`thread_workspace`): LithoSim's wrappers and
+// threshold calibration and the ILT loop all use the calling thread's, so a
+// thread holds one set of litho buffers however many of them it calls.
 #pragma once
 
 #include <cstddef>
