@@ -1,6 +1,7 @@
 #include "common/image_io.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <fstream>
 
@@ -12,8 +13,7 @@
 namespace ganopc {
 
 namespace {
-// Largest width or height a PGM header may declare; read_pgm allocates only
-// as pixel bytes arrive, so a short file costs at most one 1 MiB chunk.
+// Largest width or height a PGM header may declare.
 constexpr int kMaxImageDim = 1 << 16;
 }  // namespace
 
@@ -61,9 +61,12 @@ void write_ppm(const std::string& path, const RgbImage& img) {
 GrayImage read_pgm(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   GANOPC_TYPED_CHECK(StatusCode::kIo, in.good(), "cannot open " << path);
-  std::string magic;
-  in >> magic;
-  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, magic == "P5", "not a binary PGM: " << path);
+  char magic[3] = {};  // "P5" and a whitespace: a string token could be any length
+  in.read(magic, 3);
+  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
+                     in && magic[0] == 'P' && magic[1] == '5' &&
+                         std::isspace(static_cast<unsigned char>(magic[2])),
+                     "not a binary PGM: " << path);
   int w = 0, h = 0, maxval = 0;
   in >> w >> h >> maxval;
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
@@ -71,12 +74,9 @@ GrayImage read_pgm(const std::string& path) {
                          maxval == 255,
                      "unsupported PGM header: " << path);
   in.get();  // single whitespace after header
-  // The pixel buffer grows only as bytes arrive, a chunk at a time, so no
-  // header can size it far beyond what the file holds.
+  // Pixels grow 1 MiB at a time as bytes arrive: a short file allocates little.
   const auto npx = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
-  GrayImage img;
-  img.width = w;
-  img.height = h;
+  GrayImage img{w, h, {}};
   while (img.pixels.size() < npx && in) {
     const std::size_t have = img.pixels.size();
     img.pixels.resize(std::min(npx, have + (std::size_t{1} << 20)));

@@ -122,6 +122,16 @@ TEST(ImageIo, ReadRejectsShortFileBeforeAllocating) {
     out << "P5\n2 x\n255\nabcd";
   }
   EXPECT_EQ(read_pgm_code(path), StatusCode::kInvalidInput);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "P5x 2 2\n255\nabcd";
+  }
+  EXPECT_EQ(read_pgm_code(path), StatusCode::kInvalidInput);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "P52 2\n255\nabcd";
+  }
+  EXPECT_EQ(read_pgm_code(path), StatusCode::kInvalidInput);
   std::remove(path.c_str());
 }
 
