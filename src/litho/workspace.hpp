@@ -13,7 +13,9 @@
 // N_h fields (12.6 MB) plus compact support rows (~1.5 MB) and one n^2
 // accumulator. An aerial-only call holds no fields at all. The transforms'
 // own batch buffers are per thread (fft::lane_scratch), and the kernels
-// belong to SocsKernels, as the operands of both products (0.35 MB).
+// belong to SocsKernels, as the operands of both products (0.35 MB). The
+// buffers the split-block kernels stream (fields, compact, x, acc) are
+// 64-byte aligned, so no 32-byte AVX2 access into them splits a cache line.
 //
 // A workspace is NOT thread-safe: it belongs to one simulation call at a
 // time. Each thread owns one (`thread_workspace`): LithoSim's wrappers and
@@ -24,6 +26,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "fft/fft.hpp"
 #include "geometry/grid.hpp"
 
@@ -74,21 +77,21 @@ class LithoWorkspace {
   /// forward pass for its adjoint: per kernel, per 8-column group, the n rows
   /// of the group as n split-complex blocks (fft::kBlock floats: eight reals,
   /// then eight imaginaries). Aerial-only calls never touch it.
-  std::vector<float> fields;
+  AlignedVector<float> fields;
   /// Per kernel, its band-limited rows between the row and column passes:
   /// R_k rows of n points, each row as 8-column split-complex blocks. The
   /// forward pass fills it with the row-transformed support rows of
   /// H_k_hat .* mask_hat, the adjoint with its row-transformed support rows;
   /// kernel k starts at compact_offset[k].
-  std::vector<float> compact;
+  AlignedVector<float> compact;
   std::vector<std::size_t> compact_offset;
   /// Per-kernel SOCS weights, gathered once per call for tight inner loops.
   std::vector<float> weights;
   /// dE/dI (real), one entry per pixel, in the accumulator's block order.
-  std::vector<float> x;
+  AlignedVector<float> x;
   /// Double-precision per-pixel accumulator (intensity, then gradient), in
   /// block order: per 8-column group, n rows of 8 pixels.
-  std::vector<double> acc;
+  AlignedVector<double> acc;
   /// Aerial image scratch for gradient calls (the caller never sees it).
   geom::Grid aerial_scratch;
 };
