@@ -51,9 +51,12 @@ inline constexpr std::size_t kBlock = 2 * kLanes;
 /// [kLanes + j]). The input is in bit-reversed order — block p holds input
 /// point bitrev[p], which the gathers fold in — and the output in natural
 /// order. On the scalar arm lane j's result is bitwise fft_inplace_scalar of
-/// that lane's signal; the AVX2 arm forms each twiddle product v*w as
-/// (fma(vr, wr, -vi*wi), fma(vr, wi, vi*wr)) (DESIGN.md §12). Lanes never mix,
-/// so which lane or batch a signal lands in never moves a bit.
+/// that lane's signal, one stage per pass over the blocks; the AVX2 arm forms
+/// each twiddle product v*w as (fma(vr, wr, -vi*wi), fma(vr, wi, vi*wr)) and
+/// runs two stages per pass, the inverse's 1/n folded into the last pass's
+/// stores, with every butterfly's arithmetic unchanged (DESIGN.md §12).
+/// Lanes never mix, so which lane or batch a signal lands in never moves a
+/// bit.
 using FftLanes8Fn = void (*)(float* blocks, const FftPlan& plan, bool inverse);
 
 void fft_lanes8_scalar(float* blocks, const FftPlan& plan, bool inverse);
