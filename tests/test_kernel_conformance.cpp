@@ -151,7 +151,7 @@ TEST(FftKernelConformance, FftLanes8MatchesScalar) {
   const fft::FftLanes8Fn sc = fft::lane_ops(SimdLevel::kScalar).fft;
   const fft::FftLanes8Fn vx = fft::lane_ops(SimdLevel::kAvx2).fft;
   Prng rng(201);
-  for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 256u, 1024u}) {
+  for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u, 1024u}) {
     const fft::FftPlan& plan = fft::plan_for(n);
     for (const bool inverse : {false, true}) {
       const std::vector<float> x = random_blocks(rng, n);
