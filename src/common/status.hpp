@@ -8,10 +8,8 @@
 // litho stack (retry with a perturbed restart), a stalled ILT loop (fall
 // back to MB-OPC), a blown deadline (report and move on).
 //
-// Three pieces:
+// Two pieces:
 //   StatusCode / Status  — the taxonomy: a code plus a human-readable message.
-//   StatusOr<T>          — value-or-Status for APIs that prefer returns over
-//                          exceptions (e.g. gds::try_read_gds).
 //   StatusError          — a ganopc::Error subclass carrying a Status, so the
 //                          existing throw-based hot paths can raise *typed*
 //                          failures without changing their signatures, and
@@ -20,7 +18,6 @@
 //                          and maps exception -> Status -> manifest row.
 #pragma once
 
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -86,42 +83,6 @@ class StatusError : public Error {
 /// Map an in-flight exception to a Status: StatusError keeps its code, any
 /// other ganopc::Error becomes kInternal, anything else kInternal too.
 Status status_from_exception(const std::exception& e);
-
-/// Value-or-error return. Holds either a T (ok) or a non-ok Status.
-template <typename T>
-class StatusOr {
- public:
-  StatusOr(T value) : value_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  StatusOr(Status status) : status_(std::move(status)) {  // NOLINT
-    GANOPC_CHECK_MSG(!status_.ok(), "StatusOr constructed from an Ok status");
-  }
-
-  bool ok() const { return value_.has_value(); }
-  const Status& status() const { return status_; }
-
-  /// The held value; throws StatusError when not ok.
-  const T& value() const& {
-    if (!ok()) throw StatusError(status_.code(), status_.message());
-    return *value_;
-  }
-  T& value() & {
-    if (!ok()) throw StatusError(status_.code(), status_.message());
-    return *value_;
-  }
-  T&& value() && {
-    if (!ok()) throw StatusError(status_.code(), status_.message());
-    return std::move(*value_);
-  }
-
-  const T& operator*() const& { return value(); }
-  T& operator*() & { return value(); }
-  const T* operator->() const { return &value(); }
-  T* operator->() { return &value(); }
-
- private:
-  Status status_;  ///< Ok iff value_ holds
-  std::optional<T> value_;
-};
 
 }  // namespace ganopc
 

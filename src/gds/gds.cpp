@@ -386,16 +386,6 @@ Library read_gds(const std::string& path) {
                     "GDS file ended without ENDLIB: " + path);
 }
 
-StatusOr<Library> try_read_gds(const std::string& path) {
-  try {
-    return read_gds(path);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const Error& e) {
-    return Status(StatusCode::kInvalidInput, e.what());
-  }
-}
-
 Library layout_to_gds(const geom::Layout& layout, const std::string& cell_name,
                       std::int16_t layer) {
   Library library;

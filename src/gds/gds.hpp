@@ -58,10 +58,6 @@ void write_gds(const std::string& path, const Library& library);
 /// an unreadable file throws StatusError(Io).
 Library read_gds(const std::string& path);
 
-/// Non-throwing variant of read_gds for batch pipelines: a malformed or
-/// unreadable file comes back as a typed Status instead of an exception.
-StatusOr<Library> try_read_gds(const std::string& path);
-
 /// Convert a Layout into a single-structure library: every rectangle
 /// becomes a BOUNDARY on the given layer.
 Library layout_to_gds(const geom::Layout& layout, const std::string& cell_name,

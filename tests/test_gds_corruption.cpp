@@ -1,18 +1,18 @@
 // GDS parser hardening (DESIGN.md §9): every truncation and byte flip of a
-// valid stream file must be rejected with a typed Status (or parse to an
-// equally valid file) — never crash, read out of bounds, or loop. Crafted
+// valid stream file must be rejected with a typed StatusError (or parse to
+// an equally valid file) — never crash, read out of bounds, or loop. Crafted
 // records exercise each bounds check individually; the whole suite runs
 // under ASan+UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/status.hpp"
 #include "gds/gds.hpp"
@@ -99,6 +99,20 @@ std::string make_valid_file(const std::string& name) {
   return path;
 }
 
+// The typed failure read_gds throws for `path`. A file that parses, or an
+// untyped error, fails the calling test and yields an Ok status.
+Status read_failure(const std::string& path) {
+  try {
+    read_gds(path);
+    ADD_FAILURE() << path << " parsed";
+  } catch (const StatusError& e) {
+    return e.status();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << path << " threw an untyped error: " << e.what();
+  }
+  return Status::Ok();
+}
+
 class GdsCorruptionTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -131,18 +145,16 @@ TEST_F(GdsCorruptionTest, EveryTruncationRejectedWithTypedError) {
   const std::string path = scratch("gds_corrupt_trunc.gds");
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     write_bytes(path, bytes.substr(0, len));
-    const StatusOr<Library> result = try_read_gds(path);
-    ASSERT_FALSE(result.ok()) << "prefix of " << len << " bytes parsed";
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput)
+    EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput)
         << "prefix of " << len << " bytes";
-    EXPECT_THROW(read_gds(path), Error) << "prefix of " << len << " bytes";
   }
 }
 
 TEST_F(GdsCorruptionTest, EveryByteFlipIsContained) {
   // A flipped byte may still parse (e.g. a coordinate changed) — the
-  // contract is containment: a valid Library or a typed Status, never a
-  // crash or out-of-bounds read (ASan enforces the latter in CI).
+  // contract is containment: a valid Library or a typed StatusError, never
+  // an untyped error, a crash or an out-of-bounds read (ASan enforces the
+  // latter in CI).
   const std::string ref = make_valid_file("gds_corrupt_flip_ref.gds");
   cleanup_.push_back(ref);
   const std::string bytes = read_bytes(ref);
@@ -151,9 +163,12 @@ TEST_F(GdsCorruptionTest, EveryByteFlipIsContained) {
     std::string mutated = bytes;
     mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
     write_bytes(path, mutated);
-    const StatusOr<Library> result = try_read_gds(path);
-    if (!result.ok()) {
-      EXPECT_NE(result.status().code(), StatusCode::kOk) << "flipped byte " << i;
+    try {
+      read_gds(path);
+    } catch (const StatusError& e) {
+      EXPECT_NE(e.code(), StatusCode::kOk) << "flipped byte " << i;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "flipped byte " << i << " threw an untyped error: " << e.what();
     }
   }
 }
@@ -165,10 +180,9 @@ TEST_F(GdsCorruptionTest, RecordLengthBelowHeaderRejected) {
   bad.push_back(static_cast<char>(kNoData));
   const std::string path = scratch("gds_len_small.gds");
   write_bytes(path, bad);
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
-  EXPECT_NE(result.status().message().find("below header size"), std::string::npos);
+  const Status status = read_failure(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(status.message().find("below header size"), std::string::npos);
 }
 
 TEST_F(GdsCorruptionTest, RecordLengthPastEndOfFileRejected) {
@@ -178,10 +192,9 @@ TEST_F(GdsCorruptionTest, RecordLengthPastEndOfFileRejected) {
   bad.push_back(static_cast<char>(kNoData));
   const std::string path = scratch("gds_len_huge.gds");
   write_bytes(path, bad);
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
-  EXPECT_NE(result.status().message().find("exceeds remaining"), std::string::npos);
+  const Status status = read_failure(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(status.message().find("exceeds remaining"), std::string::npos);
 }
 
 TEST_F(GdsCorruptionTest, UnitsPayloadSizeEnforced) {
@@ -190,9 +203,7 @@ TEST_F(GdsCorruptionTest, UnitsPayloadSizeEnforced) {
                           record(kEndLib, kNoData);
   const std::string path = scratch("gds_units_short.gds");
   write_bytes(path, bad);
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(GdsCorruptionTest, OddBoundaryXyRejected) {
@@ -202,9 +213,7 @@ TEST_F(GdsCorruptionTest, OddBoundaryXyRejected) {
       record(kEndEl, kNoData);
   const std::string path = scratch("gds_xy_odd.gds");
   write_bytes(path, in_structure(body));
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(GdsCorruptionTest, DegenerateBoundaryRejected) {
@@ -215,19 +224,16 @@ TEST_F(GdsCorruptionTest, DegenerateBoundaryRejected) {
       record(kEndEl, kNoData);
   const std::string path = scratch("gds_degenerate.gds");
   write_bytes(path, in_structure(body));
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
-  EXPECT_NE(result.status().message().find("fewer than 3"), std::string::npos);
+  const Status status = read_failure(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(status.message().find("fewer than 3"), std::string::npos);
 }
 
 TEST_F(GdsCorruptionTest, BoundaryWithoutXyRejected) {
   const std::string body = record(kBoundary, kNoData) + record(kEndEl, kNoData);
   const std::string path = scratch("gds_no_xy.gds");
   write_bytes(path, in_structure(body));
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(GdsCorruptionTest, BoundaryOutsideStructureRejected) {
@@ -235,9 +241,7 @@ TEST_F(GdsCorruptionTest, BoundaryOutsideStructureRejected) {
                           record(kEndLib, kNoData);
   const std::string path = scratch("gds_orphan_boundary.gds");
   write_bytes(path, bad);
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(GdsCorruptionTest, ShortSrefXyRejected) {
@@ -247,9 +251,7 @@ TEST_F(GdsCorruptionTest, ShortSrefXyRejected) {
                            record(kEndEl, kNoData);
   const std::string path = scratch("gds_sref_xy.gds");
   write_bytes(path, in_structure(body));
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(GdsCorruptionTest, ShortSrefMagRejected) {
@@ -262,9 +264,7 @@ TEST_F(GdsCorruptionTest, ShortSrefMagRejected) {
                            record(kEndEl, kNoData);
   const std::string path = scratch("gds_sref_mag.gds");
   write_bytes(path, in_structure(body));
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(GdsCorruptionTest, MissingEndLibRejected) {
@@ -273,35 +273,28 @@ TEST_F(GdsCorruptionTest, MissingEndLibRejected) {
   const std::string bytes = read_bytes(ref);
   const std::string path = scratch("gds_noendlib.gds");
   write_bytes(path, bytes.substr(0, bytes.size() - 4));  // drop ENDLIB
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
-  EXPECT_NE(result.status().message().find("ENDLIB"), std::string::npos);
+  const Status status = read_failure(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(status.message().find("ENDLIB"), std::string::npos);
 }
 
 TEST_F(GdsCorruptionTest, NonGdsContentRejected) {
   const std::string path = scratch("gds_not_gds.gds");
   write_bytes(path, "clip 0 0 2048 2048\nrect 1 2 3 4\n");
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(GdsCorruptionTest, MissingFileIsIoError) {
-  const StatusOr<Library> result = try_read_gds(temp_path("gds_does_not_exist.gds"));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIo);
+  EXPECT_EQ(read_failure(temp_path("gds_does_not_exist.gds")).code(), StatusCode::kIo);
 }
 
 TEST_F(GdsCorruptionTest, ReadFailpointSurfacesAsIoStatus) {
   const std::string path = make_valid_file("gds_failpoint.gds");
   cleanup_.push_back(path);
   failpoint::arm("gds.read", /*skip=*/0, /*count=*/1);
-  const StatusOr<Library> result = try_read_gds(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIo);
+  EXPECT_EQ(read_failure(path).code(), StatusCode::kIo);
   // The failpoint fired once; the next read succeeds.
-  EXPECT_TRUE(try_read_gds(path).ok());
+  EXPECT_NO_THROW(read_gds(path));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The typed error taxonomy (DESIGN.md §9): codes, names, Status/StatusOr,
+// The typed error taxonomy (DESIGN.md §9): codes, names, Status,
 // StatusError interop with the legacy untyped Error contract.
 #include <gtest/gtest.h>
 
@@ -74,20 +74,6 @@ TEST(TypedCheck, ThrowsWithCodeAndStreamedMessage) {
     EXPECT_EQ(e.code(), StatusCode::kInvalidInput);
     EXPECT_NE(std::string(e.what()).find("got 42"), std::string::npos);
   }
-}
-
-TEST(StatusOr, HoldsValue) {
-  StatusOr<int> v(7);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value(), 7);
-  EXPECT_EQ(*v, 7);
-}
-
-TEST(StatusOr, HoldsStatusAndThrowsOnValue) {
-  const StatusOr<int> v(Status(StatusCode::kIo, "gone"));
-  ASSERT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kIo);
-  EXPECT_THROW(v.value(), StatusError);
 }
 
 }  // namespace
