@@ -78,8 +78,9 @@ std::string retry_after(double seconds) {
 /// and the `X-Ganopc-Stage-<Key>-S` response headers.
 struct Stage {
   std::string_view key;
-  /// Duration histograms whose growth across Engine::submit is the stage's
-  /// time (worker-measured stages); empty for stages timed from clocks.
+  /// Spans whose duration histograms grow across Engine::submit by the
+  /// stage's time (worker-measured stages); empty for stages timed from
+  /// clocks.
   std::vector<std::string_view> spans;
 };
 
@@ -90,25 +91,31 @@ enum StageIndex : std::size_t {
 const Stage kStages[kStageCount] = {
     {"queue", {}},     // admission -> supervisor dispatch
     {"dispatch", {}},  // dispatch -> worker pickup (pipe transit)
-    {"decode", {"batch.load_clip.seconds"}},
+    {"decode", {"batch.load_clip"}},
     // The outermost litho entry points only: litho.aerial runs inside
     // simulate and pv_band, and simulate_batch wraps simulate.
     {"litho",
-     {"litho.simulate.seconds", "litho.forward_relaxed.seconds",
-      "litho.gradient.seconds", "litho.pv_band.seconds"}},
-    {"ilt", {"ilt.optimize.seconds"}},
+     {"litho.simulate", "litho.forward_relaxed", "litho.gradient", "litho.pv_band"}},
+    {"ilt", {"ilt.optimize"}},
     {"encode", {}},  // result row + mask PGM encoding
 };
 
 using StageSeconds = std::array<double, kStageCount>;
 
-/// Seconds recorded so far by a stage's span histograms.
-double span_seconds(const obs::Snapshot& snap, const Stage& stage) {
-  double total = 0.0;
-  for (const std::string_view name : stage.spans)
-    if (const obs::HistogramSnapshot* h = snap.find_histogram(name))
-      total += h->sum;
-  return total;
+/// Seconds recorded so far by each stage's span histograms (0 for stages
+/// timed from clocks). The histograms are resolved once per process.
+StageSeconds stage_span_sums() {
+  static const auto histograms = [] {
+    std::array<std::vector<const obs::Histogram*>, kStageCount> h;
+    for (std::size_t i = 0; i < kStageCount; ++i)
+      for (const std::string_view name : kStages[i].spans)
+        h[i].push_back(obs::span_site(name).seconds);
+    return h;
+  }();
+  StageSeconds sums{};
+  for (std::size_t i = 0; i < kStageCount; ++i)
+    for (const obs::Histogram* h : histograms[i]) sums[i] += h->sum();
+  return sums;
 }
 
 std::string stage_header(std::string_view key) {
@@ -204,8 +211,8 @@ std::string Server::worker_entry(const std::string& payload, int crashes) const 
     stages[kDispatch] = static_cast<double>(recv_ns - th.dispatch_ns) * 1e-9;
 
   const bool track_stages = obs::metrics_enabled();
-  obs::Snapshot before;
-  if (track_stages) before = obs::snapshot();
+  StageSeconds before{};
+  if (track_stages) before = stage_span_sums();
 
   engine::MaskResult result;
   const double remaining_s = deadline_abs_s - net::now_s();
@@ -232,11 +239,9 @@ std::string Server::worker_entry(const std::string& payload, int crashes) const 
   }
 
   if (track_stages) {
-    const obs::Snapshot after = obs::snapshot();
+    const StageSeconds after = stage_span_sums();
     for (std::size_t i = 0; i < kStageCount; ++i)
-      if (!kStages[i].spans.empty())
-        stages[i] = span_seconds(after, kStages[i]) -
-                    span_seconds(before, kStages[i]);
+      if (!kStages[i].spans.empty()) stages[i] = after[i] - before[i];
   }
 
   const std::uint64_t encode_start_ns = obs::monotonic_ns();
